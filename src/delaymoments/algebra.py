@@ -3,16 +3,17 @@
 Every coefficient in this package is carried by these types; there is no
 floating point anywhere.  Scalars are `fractions.Fraction`, polynomials are
 dense univariate over a named symbol ("M" or "g" for the absorption
-strength), rational functions are reduced quotients with a monic
-denominator, and series are Laurent-type truncations with a guaranteed
-order: coefficients of powers up to `order` are exact, powers above it are
-never emitted.
+strength), rational functions are reduced quotients stored with integer
+coefficients and a factored denominator, and series are Laurent-type
+truncations with a guaranteed order: coefficients of powers up to `order`
+are exact, powers above it are never emitted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, isqrt, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 SYM_M = "M"
@@ -75,6 +76,11 @@ class Polynomial:
     @classmethod
     def constant(cls, symbol: str, value) -> Polynomial:
         return cls(symbol, (value,))
+
+    @classmethod
+    def from_roots(cls, symbol: str, roots: Iterable[int]) -> Polynomial:
+        """The monic product of (symbol - r) over the integer roots r."""
+        return cls(symbol, _expand_roots((r, 1) for r in roots))
 
     @property
     def degree(self) -> int:
@@ -191,11 +197,7 @@ class Polynomial:
         return Polynomial(self.symbol, (c / lead for c in self.coeffs))
 
     def evaluate(self, value) -> Fraction:
-        v = _as_fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        return _evaluate(self.coeffs, _as_fraction(value))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
@@ -212,10 +214,11 @@ class Polynomial:
         return f"Polynomial({self.symbol!r}, {list(self.coeffs)})"
 
     def __str__(self) -> str:
-        return _poly_text(self, self.symbol)
+        return _poly_text(self.coeffs, self.symbol)
 
     def latex(self) -> str:
-        return _poly_text(self, _LATEX_SYMBOL.get(self.symbol, self.symbol), latex=True)
+        return _poly_text(self.coeffs, _LATEX_SYMBOL.get(self.symbol, self.symbol),
+                          latex=True)
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -229,12 +232,13 @@ def _fraction_text(c: Fraction) -> str:
     return str(c) if c.denominator == 1 else f"({c})"
 
 
-def _poly_text(p: Polynomial, symbol: str, latex: bool = False) -> str:
-    if p.is_zero:
+def _poly_text(coeffs: tuple, symbol: str, latex: bool = False) -> str:
+    """Descending display of ascending int or Fraction coefficients."""
+    if not coeffs:
         return "0"
     pieces = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if not c:
             continue
         sign = "-" if c < 0 else "+"
@@ -257,60 +261,193 @@ def _poly_text(p: Polynomial, symbol: str, latex: bool = False) -> str:
 
 def _integer_coeffs(p: Polynomial) -> tuple[int, list[int]]:
     """Return (scale, coeffs) with coeffs integral and p = coeffs / scale."""
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // int_gcd(scale, c.denominator)
-    return scale, [int(c * scale) for c in p.coeffs]
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    return scale, [c.numerator * (scale // c.denominator) for c in p.coeffs]
 
 
-def _synthetic_div(cs: list[int], r: int) -> list[int] | None:
-    """Quotient of the ascending-coefficient polynomial by (x - r), or None."""
-    out = [0] * (len(cs) - 1)
-    acc = cs[-1]
-    for k in range(len(cs) - 2, -1, -1):
-        out[k] = acc
-        acc = cs[k] + acc * r
-    return out if acc == 0 else None
+# Integer polynomials: ascending coefficient tuples without trailing zeros,
+# () being zero.  They carry the fields of RationalFunction.
+
+_ONE = (1,)
 
 
-def _factor_integer_roots(coeffs: list[int]) -> tuple[int, dict[int, int], list[int]]:
-    """Factor out integer roots: returns (x-power, {root: multiplicity}, rest).
+def _imul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of two non-zero integer polynomials."""
+    if len(b) == 1:
+        b0 = b[0]
+        return a if b0 == 1 else tuple(c * b0 for c in a)
+    if len(a) == 1:
+        return _imul(b, a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)
 
-    `rest` is the remaining integer-coefficient polynomial (ascending) with
-    no integer roots, possibly constant.
-    """
-    cs = list(coeffs)
-    xpow = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        xpow += 1
-    roots: dict[int, int] = {}
-    progress = True
-    while progress and len(cs) > 1:
-        progress = False
-        a0 = abs(cs[0])
-        for base in range(1, a0 + 1):
-            if a0 % base:
-                continue
-            for r in (-base, base):
-                q = _synthetic_div(cs, r)
-                if q is not None:
-                    roots[r] = roots.get(r, 0) + 1
-                    cs = q
-                    progress = True
-                    break
-            if progress:
+
+def _ipow(a: tuple[int, ...], n: int) -> tuple[int, ...]:
+    result = _ONE
+    while n:
+        if n & 1:
+            result = _imul(result, a)
+        a = _imul(a, a)
+        n >>= 1
+    return result
+
+
+def _iadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _times_root(a: tuple[int, ...], r: int, times: int) -> tuple[int, ...]:
+    """a * (x - r)**times."""
+    if r == 0:
+        return (0,) * times + a
+    for _ in range(times):
+        a = (-r * a[0], *[p - r * c for p, c in zip(a, a[1:])], a[-1])
+    return a
+
+
+def _divide_root(a: tuple[int, ...], r: int, times: int) -> tuple[tuple[int, ...], int]:
+    """Divide the non-zero a by (x - r) while that is exact, at most `times`
+    times, by synthetic division; returns the quotient and the count."""
+    done = 0
+    while done < times and len(a) > 1:
+        if r == 0:
+            if a[0]:
                 break
-    return xpow, roots, cs
+            a = a[1:]
+        else:
+            q = [0] * (len(a) - 1)
+            acc = a[-1]
+            for k in range(len(a) - 2, -1, -1):
+                q[k] = acc
+                acc = a[k] + acc * r
+            if acc:
+                break
+            a = tuple(q)
+        done += 1
+    return a, done
 
 
-def _factored_text(p: Polynomial, symbol_text: str, latex: bool = False) -> str:
-    """Denominator-style display: powers of the symbol, paired (M^2-a^2)
-    factors or (1+g) factors, then any remainder without integer roots."""
-    if p.is_zero:
-        return "0"
-    scale, ints = _integer_coeffs(p)
-    xpow, roots, rest = _factor_integer_roots(ints)
+def _expand_roots(roots: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The monic product of (x - r)**m."""
+    p = _ONE
+    for r, m in roots:
+        p = _times_root(p, r, m)
+    return p
+
+
+def _exact_quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """a / b for integer polynomials where b is primitive and divides a, so
+    the quotient is integral (Gauss's lemma)."""
+    _, quot = _integer_coeffs(Polynomial("x", a).exact_div(Polynomial("x", b)))
+    return tuple(quot)
+
+
+def _primitive_gcd(a: tuple[int, ...], b: tuple[int, ...], symbol: str) -> tuple[int, ...]:
+    """Primitive gcd, leading coefficient positive, of two non-zero integer
+    polynomials; the Euclidean `polynomial_gcd` runs only when neither is 1."""
+    if a == _ONE or b == _ONE:
+        return _ONE
+    _, g = _integer_coeffs(polynomial_gcd(Polynomial(symbol, a), Polynomial(symbol, b)))
+    content = int_gcd(*g)
+    return tuple(c // content for c in g)
+
+
+def _has_sign_change(cs: Iterable[int]) -> bool:
+    signs = [c > 0 for c in cs if c]
+    return any(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _split_integer_roots(cs: tuple[int, ...]) -> tuple[dict[int, int], tuple[int, ...]]:
+    """Factor a non-zero integer polynomial as prod (x - r)**m times a rest
+    without integer roots; returns ({r: m}, rest).
+
+    Candidate roots are the divisors of the trailing coefficient up to
+    Fujiwara's root bound, on the sides where Descartes' rule of signs
+    allows a root, so a large constant term costs at most its square root.
+    """
+    roots: dict[int, int] = {}
+    zeros = 0
+    while not cs[zeros]:
+        zeros += 1
+    if zeros:
+        roots[0] = zeros
+        cs = cs[zeros:]
+    if len(cs) == 1:
+        return roots, cs
+    signs = [s for s in (1, -1) if _has_sign_change(c * s**k for k, c in enumerate(cs))]
+    if not signs:
+        return roots, cs
+    # Fujiwara: every root has modulus at most 2 max_k |a_(n-k) / a_n|^(1/k).
+    # A ratio below 2^bits has its k-th root below 2^ceil(bits / k).
+    n, lead, a0 = len(cs) - 1, abs(cs[-1]), abs(cs[0])
+    bound = 0
+    for k in range(1, n + 1):
+        bits = (-(-abs(cs[n - k]) // lead)).bit_length()
+        bound = max(bound, 2 << -(-bits // k))
+    divisors = set()
+    for d in range(1, min(bound, isqrt(a0)) + 1):
+        if not a0 % d:
+            divisors.add(d)
+            if a0 // d <= bound:
+                divisors.add(a0 // d)
+    for d in sorted(divisors):
+        for sign in signs:
+            cs, m = _divide_root(cs, sign * d, len(cs))
+            if m:
+                roots[sign * d] = m
+    return roots, cs
+
+
+def _canonical(num: tuple[int, ...], content: int, roots: Iterable[tuple[int, int]],
+               residual: tuple[int, ...], symbol: str) -> tuple:
+    """Reduce num / (content * prod (x - r)**m * residual) to the canonical
+    fields of RationalFunction; `roots` is sorted by root."""
+    if not num:
+        return (), 1, (), _ONE
+    kept = []
+    for r, m in roots:
+        num, done = _divide_root(num, r, m)
+        if done < m:
+            kept.append((r, m - done))
+    if residual != _ONE and len(num) > 1:
+        common = _primitive_gcd(num, residual, symbol)
+        if common != _ONE:
+            num = _exact_quotient(num, common)
+            residual = _exact_quotient(residual, common)
+    g = int_gcd(content, *num)
+    if g > 1:
+        num = tuple(c // g for c in num)
+        content //= g
+    return num, content, tuple(kept), residual
+
+
+def _quotient_fields(num: tuple[int, ...], den: tuple[int, ...], symbol: str) -> tuple:
+    """Canonical fields of num / den for integer polynomials, den non-zero."""
+    content = int_gcd(*den)
+    if den[-1] < 0:
+        content = -content
+    roots, residual = _split_integer_roots(tuple(c // content for c in den))
+    if content < 0:
+        content, num = -content, tuple(-c for c in num)
+    return _canonical(num, content, sorted(roots.items()), residual, symbol)
+
+
+def _factored_text(roots: Iterable[tuple[int, int]], residual: tuple[int, ...],
+                   const: Fraction | int, symbol_text: str, latex: bool = False) -> str:
+    """Denominator-style display of const * prod (x - r)**m * residual:
+    powers of the symbol, paired (M^2-a^2) factors or (1+g) factors, then
+    the residual without integer roots."""
 
     def power_text(base: str, mult: int) -> str:
         if mult == 1:
@@ -318,9 +455,10 @@ def _factored_text(p: Polynomial, symbol_text: str, latex: bool = False) -> str:
         return f"{base}^{{{mult}}}" if latex else f"{base}^{mult}"
 
     factors: list[str] = []
+    items = dict(roots)
+    xpow = items.pop(0, 0)
     if xpow:
         factors.append(power_text(symbol_text, xpow))
-    items = dict(roots)
     for r in sorted(items, key=lambda v: (abs(v), v)):
         m = items.get(r, 0)
         if m <= 0:
@@ -342,19 +480,8 @@ def _factored_text(p: Polynomial, symbol_text: str, latex: bool = False) -> str:
                 body = f"({symbol_text}-{r})"
             factors.append(power_text(body, m))
             items[r] = 0
-
-    if len(rest) == 1:
-        const = Fraction(rest[0], scale)
-    else:
-        lead = rest[-1]
-        content = 0
-        for c in rest:
-            content = int_gcd(content, abs(c))
-        if lead < 0:
-            content = -content
-        const = Fraction(content, scale)
-        primitive = Polynomial(p.symbol, [Fraction(c, content) for c in rest])
-        factors.append(f"({_poly_text(primitive, symbol_text, latex=latex)})")
+    if len(residual) > 1:
+        factors.append(f"({_poly_text(residual, symbol_text, latex=latex)})")
     if not factors:
         return _fraction_text(const)
     text = "".join(factors)
@@ -363,10 +490,28 @@ def _factored_text(p: Polynomial, symbol_text: str, latex: bool = False) -> str:
     return text
 
 
-class RationalFunction:
-    """Reduced quotient of polynomials over one symbol; denominator monic."""
+_setattr = object.__setattr__
 
-    __slots__ = ("num", "den")
+
+class RationalFunction:
+    """Reduced quotient of polynomials over one symbol, stored fraction-free.
+
+    The value is N / (D * prod (x - r)**m * R), where N is an integer
+    coefficient tuple, D a positive integer content, {r: m} the integer
+    roots of the denominator with their multiplicities, and R a primitive
+    integer residual with a positive leading coefficient and no integer
+    root (1 for every coefficient the engine builds).  The form is reduced:
+    N vanishes at no listed root, shares no factor with R and no integer
+    factor with D, so equal functions have equal fields.
+
+    Sums take the larger multiplicity per root and the lcm of the contents,
+    products add multiplicities; reduction is synthetic division at the
+    listed roots plus one integer gcd.  The Euclidean `polynomial_gcd` runs
+    only when R is non-trivial.  `num` (scaled) and `den` (monic) are
+    derived views.  Instances are immutable.
+    """
+
+    __slots__ = ("_num", "_content", "_roots", "_residual", "_symbol")
 
     def __init__(self, num, den=None, symbol: str | None = None):
         if isinstance(num, (int, Fraction)):
@@ -384,31 +529,45 @@ class RationalFunction:
         if num.coeffs and den.coeffs and num.symbol != den.symbol:
             raise VariableMismatchError(
                 f"cannot mix symbols {num.symbol!r} and {den.symbol!r}")
-        if num.is_zero:
-            den = Polynomial.constant(den.symbol, 1)
-        else:
-            g = polynomial_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.leading
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
-        self.num = num
-        self.den = den
+        symbol = num.symbol if num.coeffs else den.symbol
+        sn, ni = _integer_coeffs(num)
+        sd, di = _integer_coeffs(den)
+        fields = _quotient_fields(tuple(c * sd for c in ni),
+                                  tuple(c * sn for c in di), symbol)
+        _freeze(self, symbol, *fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def constant(cls, symbol: str, value) -> RationalFunction:
-        return cls(Polynomial.constant(symbol, value))
+        v = _as_fraction(value)
+        if not v:
+            return _new(symbol, (), 1, (), _ONE)
+        return _new(symbol, (v.numerator,), v.denominator, (), _ONE)
 
     @property
     def symbol(self) -> str:
-        return self.den.symbol if not self.num.coeffs else self.num.symbol
+        return self._symbol
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self._num
+
+    @property
+    def num(self) -> Polynomial:
+        """Numerator over the monic denominator `den`."""
+        scale = self._content * self._residual[-1]
+        return Polynomial(self._symbol, (Fraction(c, scale) for c in self._num))
+
+    @property
+    def den(self) -> Polynomial:
+        """Monic denominator."""
+        full = _imul(_expand_roots(self._roots), self._residual)
+        return Polynomial(self._symbol, (Fraction(c, full[-1]) for c in full))
 
     def _coerce(self, other) -> RationalFunction | None:
         if isinstance(other, RationalFunction):
@@ -416,23 +575,73 @@ class RationalFunction:
         if isinstance(other, Polynomial):
             return RationalFunction(other)
         if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(self.symbol, other)
+            return RationalFunction.constant(self._symbol, other)
         return None
 
-    def __add__(self, other) -> RationalFunction:
+    def _operand(self, other) -> RationalFunction | None:
+        """`other` as a rational function in this one's symbol."""
         o = self._coerce(other)
+        if o is not None and o._symbol != self._symbol:
+            raise VariableMismatchError(
+                f"cannot mix symbols {self._symbol!r} and {o._symbol!r}")
+        return o
+
+    def _scaled(self, factor) -> RationalFunction:
+        """Product with a non-zero exact scalar."""
+        p, q = factor.numerator, factor.denominator
+        num = tuple(c * p for c in self._num)
+        content = self._content * q
+        g = int_gcd(content, *num)
+        if g > 1:
+            num = tuple(c // g for c in num)
+            content //= g
+        return _new(self._symbol, num, content, self._roots, self._residual)
+
+    def _inverse(self) -> RationalFunction:
+        full = _imul(_expand_roots(self._roots), self._residual)
+        return _new(self._symbol, *_quotient_fields(
+            tuple(c * self._content for c in full), self._num, self._symbol))
+
+    def __add__(self, other) -> RationalFunction:
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den,
-                                self.den * o.den)
+        if not o._num:
+            return self
+        if not self._num:
+            return o
+        d1, d2 = self._content, o._content
+        g = int_gcd(d1, d2)
+        n1 = tuple(c * (d2 // g) for c in self._num) if d2 != g else self._num
+        n2 = tuple(c * (d1 // g) for c in o._num) if d1 != g else o._num
+        own1, own2 = dict(self._roots), dict(o._roots)
+        roots = {**own1, **own2}
+        for r in roots:
+            m1, m2 = own1.get(r, 0), own2.get(r, 0)
+            if m1 < m2:
+                n1 = _times_root(n1, r, m2 - m1)
+                roots[r] = m2
+            elif m2 < m1:
+                n2 = _times_root(n2, r, m1 - m2)
+                roots[r] = m1
+        residual = self._residual
+        if o._residual != residual:
+            common = _primitive_gcd(residual, o._residual, self._symbol)
+            f1 = _exact_quotient(o._residual, common)
+            n1 = _imul(n1, f1)
+            n2 = _imul(n2, _exact_quotient(residual, common))
+            residual = _imul(residual, f1)
+        return _new(self._symbol, *_canonical(
+            _iadd(n1, n2), d1 // g * d2, sorted(roots.items()), residual, self._symbol))
 
     __radd__ = __add__
 
     def __neg__(self) -> RationalFunction:
-        return RationalFunction(-self.num, self.den)
+        return _new(self._symbol, tuple(-c for c in self._num), self._content,
+                    self._roots, self._residual)
 
     def __sub__(self, other) -> RationalFunction:
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -441,23 +650,34 @@ class RationalFunction:
         return -(self - other)
 
     def __mul__(self, other) -> RationalFunction:
-        o = self._coerce(other)
+        if isinstance(other, (int, Fraction)):
+            if not other or not self._num:
+                return RationalFunction.constant(self._symbol, 0)
+            return self._scaled(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        if not self._num or not o._num:
+            return RationalFunction.constant(self._symbol, 0)
+        roots = dict(self._roots)
+        for r, m in o._roots:
+            roots[r] = roots.get(r, 0) + m
+        return _new(self._symbol, *_canonical(
+            _imul(self._num, o._num), self._content * o._content,
+            sorted(roots.items()), _imul(self._residual, o._residual), self._symbol))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> RationalFunction:
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return self * o._inverse()
 
     def __rtruediv__(self, other) -> RationalFunction:
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -466,69 +686,67 @@ class RationalFunction:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num**n, self.den**n)
+            return self._inverse() ** (-n)
+        if n == 0:
+            return RationalFunction.constant(self._symbol, 1)
+        if self.is_zero:
+            return self
+        return _new(self._symbol, _ipow(self._num, n), self._content**n,
+                    tuple((r, m * n) for r, m in self._roots), _ipow(self._residual, n))
 
     def evaluate(self, value) -> Fraction:
         v = _as_fraction(value)
-        d = self.den.evaluate(v)
+        d = self._content * _evaluate(self._residual, v)
+        for r, m in self._roots:
+            d *= (v - r) ** m
         if d == 0:
-            raise PoleError(self.symbol, v, self.factored_denominator())
-        return self.num.evaluate(v) / d
+            raise PoleError(self._symbol, v, self.factored_denominator())
+        return _evaluate(self._num, v) / d
 
     def integer_form(self) -> tuple[list[int], list[int]]:
         """Numerator/denominator with integer coefficients (ascending), the
         pair scaled so their contents are coprime and the denominator's
         leading coefficient is positive."""
-        sn, ni = _integer_coeffs(self.num)
-        sd, di = _integer_coeffs(self.den)
-        num = [c * sd for c in ni]
-        den = [c * sn for c in di]
-        g = 0
-        for c in num + den:
-            g = int_gcd(g, abs(c))
-        if g > 1:
-            num = [c // g for c in num]
-            den = [c // g for c in den]
-        if den and den[-1] < 0:
-            num = [-c for c in num]
-            den = [-c for c in den]
-        return num, den
+        full = _imul(_expand_roots(self._roots), self._residual)
+        return list(self._num), [c * self._content for c in full]
 
     def factored_denominator(self) -> str:
-        return _factored_text(self.den, self.symbol)
+        """The monic denominator, factored."""
+        return _factored_text(self._roots, self._residual,
+                              Fraction(1, self._residual[-1]), self._symbol)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return (self._num == o._num and self._content == o._content
+                and self._roots == o._roots and self._residual == o._residual
+                and self._symbol == o._symbol)
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self._symbol, self._num, self._content, self._roots, self._residual))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def _text(self, latex: bool) -> str:
-        num_ints, den_ints = self.integer_form()
+        num = self._num
         sign = ""
-        if num_ints and all(c <= 0 for c in num_ints):
-            num_ints = [-c for c in num_ints]
+        if num and all(c <= 0 for c in num):
+            num = tuple(-c for c in num)
             sign = "-"
-        symbol_text = _LATEX_SYMBOL.get(self.symbol, self.symbol) if latex else self.symbol
-        num_poly = Polynomial(self.symbol, [Fraction(c) for c in num_ints])
-        num_text = _poly_text(num_poly, symbol_text, latex=latex)
-        den_poly = Polynomial(self.symbol, [Fraction(c) for c in den_ints])
-        if den_poly.degree <= 0 and den_poly.leading == 1:
+        symbol_text = _LATEX_SYMBOL.get(self._symbol, self._symbol) if latex else self._symbol
+        num_text = _poly_text(num, symbol_text, latex=latex)
+        if not self._roots and self._residual == _ONE and self._content == 1:
             return sign + num_text
-        den_text = _factored_text(den_poly, symbol_text, latex=latex)
+        den_text = _factored_text(self._roots, self._residual, self._content,
+                                  symbol_text, latex=latex)
         if latex:
             if den_text.startswith("(") and den_text.endswith(")") and \
                     den_text.count("(") == 1:
                 den_text = den_text[1:-1]
             return sign + rf"\frac{{{num_text}}}{{{den_text}}}"
-        if len([c for c in num_ints if c]) > 1:
+        if len([c for c in num if c]) > 1:
             num_text = f"({num_text})"
         return f"{sign}{num_text}/{den_text}"
 
@@ -539,13 +757,39 @@ class RationalFunction:
         return self._text(latex=True)
 
 
+def _evaluate(cs: tuple, v: Fraction) -> Fraction:
+    """Horner evaluation of ascending int or Fraction coefficients."""
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * v + c
+    return acc
+
+
+def _freeze(rf: RationalFunction, symbol: str, num: tuple[int, ...], content: int,
+            roots: tuple[tuple[int, int], ...], residual: tuple[int, ...]) -> None:
+    _setattr(rf, "_symbol", symbol)
+    _setattr(rf, "_num", num)
+    _setattr(rf, "_content", content)
+    _setattr(rf, "_roots", roots)
+    _setattr(rf, "_residual", residual)
+
+
+def _new(symbol: str, num: tuple[int, ...], content: int,
+         roots: tuple[tuple[int, int], ...], residual: tuple[int, ...]) -> RationalFunction:
+    """A RationalFunction from fields already in canonical form."""
+    rf = object.__new__(RationalFunction)
+    _freeze(rf, symbol, num, content, roots, residual)
+    return rf
+
+
 class TruncatedSeries:
     """Laurent-type series in one expansion variable with exact coefficients.
 
     `coeffs` maps power -> RationalFunction in the complementary symbol.
     Powers up to `order` are guaranteed exact; `min_power` is a sound lower
     bound below which all coefficients vanish identically.  Truncation is
-    tracked pessimistically through every operation.
+    tracked pessimistically through every operation.  Instances are
+    immutable: `coeffs` is a read-only mapping.
     """
 
     __slots__ = ("variable", "coeffs", "order", "min_power")
@@ -563,16 +807,22 @@ class TruncatedSeries:
                 c = RationalFunction(c)
             if c.is_zero or p > order:
                 continue
-            if not c.num.is_zero and c.symbol != sym:
+            if c.symbol != sym:
                 raise VariableMismatchError(
                     f"coefficients of a {variable} series live in {sym!r}")
             clean[p] = c
-        self.variable = variable
-        self.coeffs = clean
-        self.order = order
         if min_power is None:
             min_power = min(clean) if clean else order + 1
-        self.min_power = min(min_power, min(clean) if clean else min_power)
+        _setattr(self, "variable", variable)
+        _setattr(self, "coeffs", MappingProxyType(clean))
+        _setattr(self, "order", order)
+        _setattr(self, "min_power", min(min_power, min(clean) if clean else min_power))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, variable: str, order: int) -> TruncatedSeries:

@@ -268,8 +268,11 @@ def cmd_series(args) -> int:
     else:
         output = render_text(sreq, series)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(output)
     print(f"# computed in {elapsed:.3f}s", file=sys.stderr)
@@ -337,6 +340,8 @@ def cmd_eval(args) -> int:
                          "/ --order-inv-gamma")
     if args.gamma_value <= 0:
         raise UsageError("the absorption strength must be positive")
+    if args.m_value == 0:
+        raise UsageError("the channel number M must be non-zero")
     values: dict[str, Fraction] = {}
     omitted: dict[str, Fraction | None] = {}
     for regime, order in requested.items():

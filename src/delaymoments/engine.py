@@ -56,20 +56,16 @@ class InternalConsistencyError(RuntimeError):
 def rising_factorial(mu: PartitionLike) -> Polynomial:
     """Cell-content form of the generalized rising factorial: the product of
     (M + content) over the Young diagram; 1 for the empty shape."""
-    p = Polynomial.constant(SYM_M, 1)
-    for i, j in Partition(as_parts(mu)).cells():
-        p = p * Polynomial(SYM_M, (j - i, 1))
-    return p
+    cells = Partition(as_parts(mu)).cells()
+    return Polynomial.from_roots(SYM_M, (i - j for i, j in cells))
 
 
 def falling_factorial(rho: PartitionLike) -> Polynomial:
     """Generalized falling factorial: row i contributes the product of
     (M + i - t) for t = 1..rho_i (rows 1-based); 1 for the empty shape."""
-    p = Polynomial.constant(SYM_M, 1)
-    for i, part in enumerate(as_parts(rho), start=1):
-        for t in range(1, part + 1):
-            p = p * Polynomial(SYM_M, (i - t, 1))
-    return p
+    rows = enumerate(as_parts(rho), start=1)
+    return Polynomial.from_roots(SYM_M, (t - i for i, part in rows
+                                         for t in range(1, part + 1)))
 
 
 def absorption_weight(beta: PartitionLike) -> Polynomial:
@@ -97,10 +93,7 @@ def _poly_binom(a: int, b: int) -> Polynomial:
     k = b+1..a over (a-b)!; zero when a < b."""
     if a < b:
         return Polynomial(SYM_M)
-    p = Polynomial.constant(SYM_M, Fraction(1, factorial(a - b)))
-    for k in range(b + 1, a + 1):
-        p = p * Polynomial(SYM_M, (k, 1))
-    return p
+    return Polynomial.from_roots(SYM_M, range(-a, -b)) * Fraction(1, factorial(a - b))
 
 
 def _det_bareiss(rows: list[list], one, exact_div: Callable):
@@ -215,7 +208,8 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     n = sum(mp)
     prefactor = rising_factorial(mp) ** 2
     t_sq = content_product(mp) ** 2
-    one_plus_g = Polynomial(SYM_G, (1, 1))
+    inv_one_plus_g = RationalFunction(Polynomial.constant(SYM_G, 1),
+                                      Polynomial(SYM_G, (1, 1)))
 
     # Group terms by the 1/M power of the bare sum before the prefactor.
     grouped: dict[int, RationalFunction] = {}
@@ -236,8 +230,8 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
                 continue
             scalar = Fraction((-1) ** ell * class_size(bp) * inner,
                               factorial(m) * factorial(n + m))
-            coeff = RationalFunction(absorption_weight(bp) * scalar,
-                                     one_plus_g ** (n + m))
+            coeff = (RationalFunction(absorption_weight(bp))
+                     * inv_one_plus_g ** (n + m) * scalar)
             grouped[exponent] = grouped.get(exponent,
                                             RationalFunction.constant(SYM_G, 0)) + coeff
 

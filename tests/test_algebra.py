@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,34 @@ class TestRationalFunction:
         assert str(s) == "-12M^2/(M^2-1)(M^2-4)"
         t = RationalFunction(pm(-1, 0, -1), pm(0, 0, 1))
         assert str(t) == "-(M^2+1)/M^2"
+
+    def test_text_without_integer_roots_is_immediate(self):
+        # The denominator used to be factored by trying every divisor of
+        # its constant term, which hung for large constants.
+        start = time.perf_counter()
+        r = RationalFunction(pm(1), pm(10**12, 0, 1))
+        assert str(r) == "1/(M^2+1000000000000)"
+        s = RationalFunction(pm(1), pm(-2 * 10**8, 0, 1) * pm(-7, 1))
+        assert str(s) == "1/(M-7)(M^2-200000000)"
+        with pytest.raises(PoleError) as err:
+            s.evaluate(7)
+        assert "(M-7)(M^2-200000000)" in str(err.value)
+        assert time.perf_counter() - start < 1.0
+
+    def test_residual_denominator_rendering(self):
+        r = RationalFunction(pm(1), pm(1, 0, 2) * pm(2, 1) ** 2 * pm(0, 3))
+        assert str(r) == "1/3M(M+2)^2(2M^2+1)"
+        assert r.factored_denominator() == "(1/2)M(M+2)^2(2M^2+1)"
+        assert r.den == pm(0, 2, 2, Fraction(9, 2), 4, 1)
+        assert r.integer_form() == ([1], [0, 12, 12, 27, 24, 6])
+
+    def test_immutable(self):
+        r = RationalFunction(pm(1, 2), pm(-1, 1))
+        with pytest.raises(AttributeError):
+            r.num = pm(3)
+        with pytest.raises(AttributeError):
+            r._num = (3,)
+        assert r == RationalFunction(pm(1, 2), pm(-1, 1))
 
     def test_integer_form(self):
         r = RationalFunction(pm(0, Fraction(3, 2)), pm(1, Fraction(1, 2)))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import delaymoments
 from delaymoments.cli import (
     document_from_json,
     load_config,
@@ -14,6 +19,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cold(*argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    src = str(Path(delaymoments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "delaymoments.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stderr
 
 
 def test_series_text_output(capsys):
@@ -99,6 +114,13 @@ def test_series_out_file(tmp_path, capsys):
     assert document["request"]["kind"] == "variance"
 
 
+def test_series_unwritable_out_is_usage_error(tmp_path):
+    code, err = run_cold("series", "--variance", "--regime", "inv-m", "--order", "2",
+                         "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert "error: cannot write" in err and "Traceback" not in err
+
+
 def test_config_parsing(tmp_path):
     cfg = tmp_path / "settings"
     cfg.write_text("# comment\nmax-order = 12\njobs=2\n")
@@ -129,6 +151,13 @@ def test_eval_pole_names_factor(capsys):
         "--order-gamma", "1")
     assert code == 2
     assert "M^2-4" in err
+
+
+def test_eval_zero_channel_number_is_usage_error():
+    code, err = run_cold("eval", "--variance", "--m-value", "0", "--gamma-value", "1/2",
+                         "--order-inv-m", "2")
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_eval_requires_an_order(capsys):

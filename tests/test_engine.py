@@ -136,6 +136,15 @@ class TestReflectionMoments:
                     den = den.exact_div(one_plus_g)
                 assert den.degree == 0
 
+    def test_cached_series_cannot_be_mutated(self):
+        first = reflection_schur_moment((2, 1), VAR_INV_M, 2)
+        with pytest.raises(TypeError):
+            first.coeffs[0] = RationalFunction.constant(SYM_G, 7)
+        with pytest.raises(AttributeError):
+            first.order = 5
+        again = reflection_schur_moment((2, 1), VAR_INV_M, 2)
+        assert again == first and again.order == 2
+
     def test_inv_gamma_leading_terms(self):
         # <Tr R> = M/g - M/g^2 + ... in strong absorption.
         s = reflection_schur_moment((1,), VAR_INV_GAMMA, 2)
