@@ -28,7 +28,6 @@ from .algebra import (
     VAR_INV_M,
 )
 from .partitions import Partition
-from .reference import all_checks
 from .stats import (
     RegimeRequest,
     StatisticRequest,
@@ -67,8 +66,8 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def load_config(path: str | None) -> dict[str, int]:
-    """Plain key=value configuration: max-order, jobs."""
-    config = {"max-order": 64, "jobs": 1}
+    """Plain key=value configuration: max-order."""
+    config = {"max-order": 64}
     if path is None:
         return config
     try:
@@ -250,13 +249,16 @@ def render_latex(sreq: StatisticRequest, series: TruncatedSeries) -> str:
     return f"{body} + O({tail_symbol})\n"
 
 
-def cmd_series(args) -> int:
-    config = load_config(args.config)
-    if args.order < 0:
+def _check_order(order: int, config: dict[str, int]) -> None:
+    if order < 0:
         raise UsageError("order must be non-negative")
-    if args.order > config["max-order"]:
+    if order > config["max-order"]:
         raise UsageError(
-            f"order {args.order} exceeds the configured cap {config['max-order']}")
+            f"order {order} exceeds the configured cap {config['max-order']}")
+
+
+def cmd_series(args) -> int:
+    _check_order(args.order, load_config(args.config))
     sreq = _statistic_request(args, _REGIME_TOKENS[args.regime], args.order)
     start = time.perf_counter()
     series = compute_statistic(sreq)
@@ -280,16 +282,11 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = load_config(args.config)
-    checks = all_checks(args.scope, conjecture_max_n=args.n_max)
-    jobs = max(args.jobs or config["jobs"], 1)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    load_config(args.config)
+    # Imported here so that the other commands skip loading the registry.
+    from .reference import all_checks
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: c.execute(), checks))
-    else:
-        results = [c.execute() for c in checks]
+    results = [c.execute() for c in all_checks(args.scope, conjecture_max_n=args.n_max)]
     hard_failures = 0
     soft_failures = 0
     for res in results:
@@ -329,8 +326,22 @@ def _first_omitted(series_hi: TruncatedSeries, order_lo: int,
     return None
 
 
+def _scientific(value: Fraction, digits: int) -> str:
+    """`value` in `.{digits}e` form: through float whenever that is finite,
+    else exactly, for magnitudes beyond the float range."""
+    try:
+        return f"{float(value):.{digits}e}"
+    except OverflowError:
+        # Imported here: the float path serves every value in range.
+        from decimal import Decimal, localcontext
+
+        with localcontext(prec=digits + 1):
+            quotient = Decimal(value.numerator) / Decimal(value.denominator)
+        return f"{quotient:.{digits}e}"
+
+
 def cmd_eval(args) -> int:
-    load_config(args.config)
+    config = load_config(args.config)
     orders = {VAR_INV_M: args.order_inv_m, VAR_GAMMA: args.order_gamma,
               VAR_INV_GAMMA: args.order_inv_gamma}
     requested = {regime: order for regime, order in orders.items()
@@ -338,6 +349,8 @@ def cmd_eval(args) -> int:
     if not requested:
         raise UsageError("give at least one of --order-inv-m / --order-gamma "
                          "/ --order-inv-gamma")
+    for order in requested.values():
+        _check_order(order, config)
     if args.gamma_value <= 0:
         raise UsageError("the absorption strength must be positive")
     if args.m_value == 0:
@@ -345,10 +358,10 @@ def cmd_eval(args) -> int:
     values: dict[str, Fraction] = {}
     omitted: dict[str, Fraction | None] = {}
     for regime, order in requested.items():
-        sreq = _statistic_request(args, regime, order)
-        probe = _statistic_request(args, regime, order + 2)
-        series = compute_statistic(sreq)
-        series_hi = compute_statistic(probe)
+        # Series are exact through their order, so one computation two powers
+        # beyond the requested order serves both the value and the estimate.
+        series_hi = compute_statistic(_statistic_request(args, regime, order + 2))
+        series = series_hi.truncate(order)
         values[regime] = series.evaluate(args.m_value, args.gamma_value)
         omitted[regime] = _first_omitted(series_hi, order,
                                          args.m_value, args.gamma_value)
@@ -356,15 +369,15 @@ def cmd_eval(args) -> int:
     for regime in requested:
         v = values[regime]
         est = omitted[regime]
-        est_text = f"{float(est):.6e}" if est is not None else "0 (exhausted)"
+        est_text = _scientific(est, 6) if est is not None else "0 (exhausted)"
         print(f"  {_REGIME_NAMES[regime]:9s} order {requested[regime]:3d}: "
-              f"{float(v):.12e}  (exact {v};  first omitted term ~ {est_text})")
+              f"{_scientific(v, 12)}  (exact {v};  first omitted term ~ {est_text})")
     regimes = list(requested)
     for i in range(len(regimes)):
         for j in range(i + 1, len(regimes)):
             a, b = regimes[i], regimes[j]
             diff = abs(values[a] - values[b])
-            print(f"  |{_REGIME_NAMES[a]} - {_REGIME_NAMES[b]}| = {float(diff):.6e}")
+            print(f"  |{_REGIME_NAMES[a]} - {_REGIME_NAMES[b]}| = {_scientific(diff, 6)}")
     return 0
 
 
@@ -404,7 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="soft findings also fail the run")
     p_verify.add_argument("--n-max", type=int, default=4,
                           help="conjecture checks cover n up to this value")
-    p_verify.add_argument("--jobs", type=int, default=None)
     p_verify.add_argument("--json", action="store_true",
                           help="append a machine-readable result block")
     p_verify.add_argument("--config", metavar="FILE")

@@ -164,9 +164,16 @@ def _dim_content_weight(parts: tuple[int, ...]) -> int:
 @cache
 def _durfee_weighted_sum(a: tuple[int, ...], b: tuple[int, ...], target: int) -> int:
     """Sum of dimension * content_product**2 over the Schur product of
-    s_a * s_b, restricted to results whose Durfee square has side `target`."""
+    s_a * s_b, restricted to results whose Durfee square has side `target`.
+
+    Only shapes inside the Durfee bound are expanded, and none at all when
+    a factor's Durfee square already exceeds `target`: both factors sit
+    inside every shape of the product.
+    """
+    if durfee(a) > target or durfee(b) > target:
+        return 0
     total = 0
-    for nu, mult in schur_product(a, b).items():
+    for nu, mult in schur_product(a, b, target).items():
         if durfee(nu) == target:
             total += mult * _dim_content_weight(nu)
     return total
@@ -210,6 +217,7 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     t_sq = content_product(mp) ** 2
     inv_one_plus_g = RationalFunction(Polynomial.constant(SYM_G, 1),
                                       Polynomial(SYM_G, (1, 1)))
+    d_mu = durfee(mp)
 
     # Group terms by the 1/M power of the bare sum before the prefactor.
     grouped: dict[int, RationalFunction] = {}
@@ -223,7 +231,7 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
             row = character_row(bp)
             inner = 0
             for rho, chi in row.items():
-                s = _durfee_weighted_sum(mp, rho, durfee(mp))
+                s = _durfee_weighted_sum(mp, rho, d_mu)
                 if s:
                     inner += chi * s
             if not inner:
@@ -276,34 +284,42 @@ def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     Each pair carries 1/(|omega|! k!): the k! belongs to the dimension-over-
     factorial weight of the shapes of weight k produced by the product
     expansion, exactly as (n+m)! does in the other two regimes.
+
+    Each pair belongs to exactly one power, so rho is visited once.  A rho
+    whose Durfee square differs from mu's is skipped: it contains mu, so its
+    square is at least as large, and a larger one empties every sum below.
     """
     n = sum(mp)
     mu_part = Partition(mp)
     prefactor = (RationalFunction(rising_factorial(mp) ** 2)
                  * Fraction((-1) ** n, content_product(mp) ** 2))
     d_mu = durfee(mp)
-    coeffs: dict[int, RationalFunction] = {}
-    for k in range(n, order + 1):
-        acc = RationalFunction.constant(SYM_M, 0)
-        for rho_weight in range(n, k + 1):
-            omega_weight = k - rho_weight
-            for rho in enumerate_partitions(rho_weight):
-                if not rho.contains(mu_part):
-                    continue
-                g_det = geometric_determinant(mp, rho.parts)
-                if not g_det:
-                    continue
+    # weights[k][omega]: integer sum of g_det * s over the rho of weight k - |omega|.
+    weights: dict[int, dict[tuple[int, ...], int]] = {}
+    for rho_weight in range(n, order + 1):
+        for rho in enumerate_partitions(rho_weight):
+            if not rho.contains(mu_part) or durfee(rho) != d_mu:
+                continue
+            g_det = geometric_determinant(mp, rho.parts)
+            if not g_det:
+                continue
+            for omega_weight in range(order - rho_weight + 1):
+                row = weights.setdefault(rho_weight + omega_weight, {})
                 for omega in enumerate_partitions(omega_weight):
                     s = _durfee_weighted_sum(omega.parts, rho.parts, d_mu)
-                    if not s:
-                        continue
-                    weight = Fraction(dimension(omega.parts) * g_det * s,
-                                      factorial(omega_weight))
-                    acc = acc + RationalFunction(rising_factorial(omega.parts)) * weight
+                    if s:
+                        row[omega.parts] = row.get(omega.parts, 0) + g_det * s
+    coeffs: dict[int, RationalFunction] = {}
+    for k in sorted(weights):
+        acc = Polynomial(SYM_M)
+        for omega, w in weights[k].items():
+            if w:
+                acc = acc + rising_factorial(omega) * Fraction(
+                    dimension(omega) * w, factorial(sum(omega)))
         if acc.is_zero:
             continue
         m_power = Polynomial(SYM_M, (0,) * k + (Fraction((-1) ** k * factorial(k)),))
-        coeffs[k] = prefactor * (acc / RationalFunction(m_power))
+        coeffs[k] = prefactor * RationalFunction(acc, m_power)
     return TruncatedSeries(VAR_INV_GAMMA, coeffs, order,
                            min_power=min(n, order + 1))
 

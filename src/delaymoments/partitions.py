@@ -3,8 +3,7 @@
 Partitions index everything in this package: Schur moments, characters,
 conjugacy classes and Littlewood-Richardson expansions.  All functions are
 pure and return exact integers; the expensive ones (characters, dimensions,
-Schur products) are memoized and their cached return values must not be
-mutated by callers.
+Schur products) are memoized; the mappings they return are read-only views.
 """
 
 from __future__ import annotations
@@ -12,7 +11,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from functools import cache
 from math import factorial, prod
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 
 class WeightMismatchError(ValueError):
@@ -277,12 +277,12 @@ def character(mu: PartitionLike, beta: PartitionLike) -> int:
 
 
 @cache
-def character_row(beta: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Characters of every irreducible at cycle type beta, as one dict.
+def character_row(beta: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
+    """Characters of every irreducible at cycle type beta, as one mapping.
 
     Expands the power-sum product for the cycle type in the Schur basis by
     iterated border-strip addition; entry [mu] equals character(mu, beta).
-    Callers must not mutate the returned dict.
+    The result is a read-only view of the cached dict.
     """
     row: dict[tuple[int, ...], int] = {(): 1}
     for k in beta:
@@ -291,14 +291,19 @@ def character_row(beta: tuple[int, ...]) -> dict[tuple[int, ...], int]:
             for grown, height in _strip_additions(shape, k):
                 nxt[grown] += coef * (-1) ** height
         row = {s: c for s, c in nxt.items() if c}
-    return row
+    return MappingProxyType(row)
 
 
-def _lr_expand(base: tuple[int, ...], content: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _lr_expand(base: tuple[int, ...], content: tuple[int, ...],
+               max_durfee: int | None = None) -> dict[tuple[int, ...], int]:
     """Expand the Schur product s_base * s_content as {shape: multiplicity}.
 
     Counts column-strict strip sequences on top of `base` with the given
-    content whose reverse reading word is a lattice word.
+    content whose reverse reading word is a lattice word.  With `max_durfee`
+    = d only shapes whose Durfee square has side at most d are produced:
+    row d+1 is capped at d cells while filling, and since filling only adds
+    cells a branch past the cap can never come back into range.  `base`
+    itself must lie within the bound.
     """
     out: dict[tuple[int, ...], int] = defaultdict(int)
     nvals = len(content)
@@ -306,6 +311,7 @@ def _lr_expand(base: tuple[int, ...], content: tuple[int, ...]) -> dict[tuple[in
         return {base: 1}
     maxrows = len(base) + nvals
     start = list(base) + [0] * (maxrows - len(base))
+    capped_row = max_durfee + 1 if max_durfee is not None else 0
 
     def fill_value(v: int, shape: list[int], prev_prefix: list[int] | None) -> None:
         if v > nvals:
@@ -332,6 +338,8 @@ def _lr_expand(base: tuple[int, ...], content: tuple[int, ...]) -> dict[tuple[in
                 cap = min(cap, cur[r - 2] - baseline[r - 1])
             if prev_prefix is not None:
                 cap = min(cap, prev_prefix[r - 1] - cum)
+            if r == capped_row:
+                cap = min(cap, max_durfee - baseline[r - 1])
             for a in range(cap, -1, -1):
                 if a:
                     nxt = cur[:]
@@ -347,17 +355,23 @@ def _lr_expand(base: tuple[int, ...], content: tuple[int, ...]) -> dict[tuple[in
 
 
 @cache
-def schur_product(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def schur_product(a: tuple[int, ...], b: tuple[int, ...],
+                  max_durfee: int | None = None) -> Mapping[tuple[int, ...], int]:
     """Littlewood-Richardson expansion of s_a * s_b, keyed by result shape.
 
-    The smaller-weight factor is inserted into the larger one.  Callers must
-    not mutate the returned dict.
+    The smaller-weight factor is inserted into the larger one.  With
+    `max_durfee` = d the expansion is restricted to shapes whose Durfee
+    square has side at most d; by default it is complete.  The result is a
+    read-only view of the cached dict.
     """
     if (sum(a), a) >= (sum(b), b):
         base, content = a, b
     else:
         base, content = b, a
-    return _lr_expand(base, content)
+    if max_durfee is not None and max(durfee(a), durfee(b)) > max_durfee:
+        # Both factors sit inside every shape of the product.
+        return MappingProxyType({})
+    return MappingProxyType(_lr_expand(base, content, max_durfee))
 
 
 def lr_coefficient(mu: PartitionLike, rho: PartitionLike, nu: PartitionLike) -> int:

@@ -22,13 +22,13 @@ def run_cli(capsys, *argv):
 
 
 def run_cold(*argv):
-    """Run the CLI in a fresh interpreter; returns (exit code, stderr)."""
+    """Run the CLI in a fresh interpreter; returns (exit code, stdout, stderr)."""
     src = str(Path(delaymoments.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "delaymoments.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    return proc.returncode, proc.stderr
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_series_text_output(capsys):
@@ -115,16 +115,19 @@ def test_series_out_file(tmp_path, capsys):
 
 
 def test_series_unwritable_out_is_usage_error(tmp_path):
-    code, err = run_cold("series", "--variance", "--regime", "inv-m", "--order", "2",
+    code, _, err = run_cold("series", "--variance", "--regime", "inv-m", "--order", "2",
                          "--out", str(tmp_path / "missing" / "x"))
     assert code == 2
     assert "error: cannot write" in err and "Traceback" not in err
 
 
-def test_config_parsing(tmp_path):
+def test_config_parsing(tmp_path, capsys):
     cfg = tmp_path / "settings"
-    cfg.write_text("# comment\nmax-order = 12\njobs=2\n")
-    assert load_config(str(cfg)) == {"max-order": 12, "jobs": 2}
+    cfg.write_text("# comment\nmax-order = 12\n")
+    assert load_config(str(cfg)) == {"max-order": 12}
+    cfg.write_text("jobs = 2\n")
+    code, _, err = run_cli(capsys, "verify", "--scope", "intro", "--config", str(cfg))
+    assert code == 2 and "unknown key 'jobs'" in err
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
@@ -154,10 +157,33 @@ def test_eval_pole_names_factor(capsys):
 
 
 def test_eval_zero_channel_number_is_usage_error():
-    code, err = run_cold("eval", "--variance", "--m-value", "0", "--gamma-value", "1/2",
+    code, _, err = run_cold("eval", "--variance", "--m-value", "0", "--gamma-value", "1/2",
                          "--order-inv-m", "2")
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+def test_eval_order_cap(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("max-order = 4\n")
+    code, out, err = run_cli(
+        capsys, "eval", "--variance", "--m-value", "20", "--gamma-value", "1/10",
+        "--order-inv-m", "6", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "exceeds the configured cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--wigner-moment", "1", "--m-value", "20", "--gamma-value", "1e-40",
+     "--order-inv-gamma", "10"),
+    ("--variance", "--m-value", "1e-60", "--gamma-value", "1/10", "--order-inv-m", "6"),
+])
+def test_eval_beyond_float_range(argv):
+    code, out, err = run_cold("eval", *argv)
+    assert code == 0 and "Traceback" not in err
+    value = out.splitlines()[1].split(":", 1)[1].split()[0]
+    mantissa, _, exponent = value.partition("e+")
+    assert len(mantissa.lstrip("-")) == 14 and int(exponent) > 308
 
 
 def test_eval_requires_an_order(capsys):
@@ -194,13 +220,6 @@ def test_verify_json_block(capsys):
     payload = json.loads(out[out.index("{"):])
     assert payload["scope"] == "section5"
     assert all(r["passed"] for r in payload["results"])
-
-
-def test_verify_parallel_matches_serial(capsys):
-    _, serial, _ = run_cli(capsys, "verify", "--scope", "section4")
-    _, parallel, _ = run_cli(capsys, "verify", "--scope", "section4",
-                             "--jobs", "4")
-    assert serial == parallel
 
 
 def test_conjecture_command(capsys):

@@ -177,6 +177,23 @@ def test_lr_symmetry_and_dimension_sum():
                     total = sum(c * dimension(nu) for nu, c in prod.items())
                     assert total == dimension(mu) * dimension(rho) * \
                         comb(wa + wb, wa)
+                    # The Durfee-bounded expansion is the full one restricted
+                    # to the bound, also with an empty factor.
+                    for d in range(0, 5):
+                        want = {nu: c for nu, c in prod.items() if durfee(nu) <= d}
+                        assert schur_product(mu.parts, rho.parts, d) == want
+                        assert schur_product(rho.parts, mu.parts, d) == want
+
+
+def test_cached_mappings_are_read_only():
+    prod = schur_product((2, 1), (2,))
+    with pytest.raises(TypeError):
+        prod[(4, 1)] = 5
+    assert schur_product((2, 1), (2,))[(4, 1)] == 1
+    row = character_row((2, 1))
+    with pytest.raises(TypeError):
+        row[(3,)] = 7
+    assert character_row((2, 1)) == {(3,): 1, (1, 1, 1): -1}
 
 
 def test_pieri_row():
