@@ -14,6 +14,8 @@ Public API
 - :func:`reflection_schur_moment`, :func:`delay_schur_moment`
 - :func:`power_sum_moment`, :func:`wigner_moment`, :func:`cumulant`,
   :func:`variance`, :func:`validate_conjectures`
+- :class:`Check` and :class:`CheckResult`, shared by the reference checks
+  and the conjecture validators
 - the `delaymoments` command line tool (see :mod:`delaymoments.cli`)
 """
 
@@ -61,7 +63,8 @@ from .partitions import (
     subpartitions,
 )
 from .stats import (
-    ConjectureReport,
+    Check,
+    CheckResult,
     RegimeRequest,
     StatisticRequest,
     compute_statistic,
@@ -81,7 +84,7 @@ __all__ = [
     "PoleError", "SeriesOrderError", "VariableMismatchError",
     "WeightMismatchError",
     "Partition", "Polynomial", "RationalFunction", "TruncatedSeries",
-    "RegimeRequest", "StatisticRequest", "ConjectureReport",
+    "RegimeRequest", "StatisticRequest", "Check", "CheckResult",
     "absorption_weight", "binomial_determinant", "character", "class_size",
     "compute_statistic", "contains", "content_product", "cumulant",
     "delay_schur_moment", "dimension", "durfee", "durfee_filtered_lr_sum",

@@ -24,8 +24,30 @@ VAR_GAMMA = "gamma"
 VAR_INV_GAMMA = "inv_gamma"
 VARIABLES = (VAR_INV_M, VAR_GAMMA, VAR_INV_GAMMA)
 
-# Symbol the series coefficients live in, per expansion variable.
-COEFF_SYMBOL = {VAR_INV_M: SYM_G, VAR_GAMMA: SYM_M, VAR_INV_GAMMA: SYM_M}
+# Power of the expansion variable carried by one factor of M and of g, per
+# expansion variable.  The three regimes differ only in this table; the
+# symbol carrying power 0 is the one the series coefficients live in.
+VARIABLE_POWER = {
+    VAR_INV_M: {SYM_M: -1, SYM_G: 0},
+    VAR_GAMMA: {SYM_M: 0, SYM_G: 1},
+    VAR_INV_GAMMA: {SYM_M: 0, SYM_G: -1},
+}
+COEFF_SYMBOL = {variable: next(s for s, e in powers.items() if not e)
+                for variable, powers in VARIABLE_POWER.items()}
+
+
+def operand_order(variable: str, order: int, m_power: int = 0, g_power: int = 0) -> int:
+    """Order an operand needs for its product with M**m_power * g**g_power
+    to be exact through `order`; never below 0."""
+    powers = VARIABLE_POWER[variable]
+    return max(order - powers[SYM_M] * m_power - powers[SYM_G] * g_power, 0)
+
+
+def expansion_value(variable: str, m_value: Fraction, gamma_value: Fraction) -> Fraction:
+    """Value of the expansion variable at rational M and absorption values."""
+    values = {SYM_M: m_value, SYM_G: gamma_value}
+    return next(values[s] ** e for s, e in VARIABLE_POWER[variable].items() if e)
+
 
 _LATEX_SYMBOL = {SYM_M: "M", SYM_G: r"\gamma"}
 
@@ -905,51 +927,58 @@ class TruncatedSeries:
                                {p + k: c for p, c in self.coeffs.items()},
                                self.order + k, self.min_power + k)
 
+    def times_power(self, symbol: str, k: int) -> TruncatedSeries:
+        """Multiply by symbol**k (exact): shifts the powers when the symbol
+        carries the expansion variable, else scales every coefficient."""
+        e = VARIABLE_POWER[self.variable][symbol]
+        if e:
+            return self.shift_power(e * k)
+        monomial = Polynomial(symbol, (0,) * abs(k) + (1,))
+        if k < 0:
+            return self.scale(RationalFunction(Polynomial.constant(symbol, 1), monomial))
+        return self.scale(monomial)
+
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
             raise SeriesOrderError(
                 f"cannot extend guarantee from {self.order} to {order}")
+        if order == self.order:
+            return self
         return TruncatedSeries(self.variable,
                                {p: c for p, c in self.coeffs.items() if p <= order},
                                order, self.min_power)
 
     def times_m_polynomial(self, p: Polynomial) -> TruncatedSeries:
-        """Multiply an inv_M series by a polynomial in M (powers shift down)."""
-        if self.variable != VAR_INV_M:
-            raise VariableMismatchError(
-                "polynomial-in-M multiplication applies to inv_M series only")
+        """Multiply by a polynomial in M: scales when M is the coefficient
+        symbol, else shifts each power of M by the (negative) power of the
+        expansion variable it carries, losing p.degree guaranteed powers."""
         if p.symbol != SYM_M:
             raise VariableMismatchError("expected a polynomial in M")
+        e = VARIABLE_POWER[self.variable][SYM_M]
+        if not e:
+            return self.scale(p)
         if p.is_zero:
-            return TruncatedSeries.zero(VAR_INV_M, self.order - max(p.degree, 0))
-        order = self.order - p.degree
+            return TruncatedSeries.zero(self.variable, self.order)
+        order = self.order + e * p.degree
         out: dict[int, RationalFunction] = {}
         for d in range(p.degree + 1):
             c = p.coefficient(d)
             if not c:
                 continue
             for q, a in self.coeffs.items():
-                key = q - d
+                key = q + e * d
                 if key > order:
                     continue
                 term = a * c
                 out[key] = out[key] + term if key in out else term
-        return TruncatedSeries(VAR_INV_M, out, order,
-                               min_power=self.min_power - p.degree)
+        return TruncatedSeries(self.variable, out, order,
+                               min_power=self.min_power + e * p.degree)
 
     def evaluate(self, m_value, gamma_value) -> Fraction:
         """Exact value of the truncated sum at rational M and absorption values."""
-        m_value = _as_fraction(m_value)
-        gamma_value = _as_fraction(gamma_value)
-        if self.variable == VAR_INV_M:
-            x = 1 / m_value
-            c_at = gamma_value
-        elif self.variable == VAR_GAMMA:
-            x = gamma_value
-            c_at = m_value
-        else:
-            x = 1 / gamma_value
-            c_at = m_value
+        m_value, gamma_value = _as_fraction(m_value), _as_fraction(gamma_value)
+        x = expansion_value(self.variable, m_value, gamma_value)
+        c_at = m_value if self.coefficient_symbol == SYM_M else gamma_value
         total = Fraction(0)
         for p, c in self.coeffs.items():
             total += c.evaluate(c_at) * x**p

@@ -26,6 +26,7 @@ from .algebra import (
     VAR_GAMMA,
     VAR_INV_GAMMA,
     VAR_INV_M,
+    expansion_value,
 )
 from .partitions import Partition
 from .stats import (
@@ -317,8 +318,7 @@ def _first_omitted(series_hi: TruncatedSeries, order_lo: int,
                    m_value: Fraction, gamma_value: Fraction) -> Fraction | None:
     """Magnitude of the first non-zero term beyond order_lo, from a series
     computed at a higher order."""
-    x = {VAR_INV_M: 1 / m_value, VAR_GAMMA: gamma_value,
-         VAR_INV_GAMMA: 1 / gamma_value}[series_hi.variable]
+    x = expansion_value(series_hi.variable, m_value, gamma_value)
     for p in range(order_lo + 1, series_hi.order + 1):
         c = series_hi.coefficient(p)
         if not c.is_zero:
@@ -353,8 +353,8 @@ def cmd_eval(args) -> int:
         _check_order(order, config)
     if args.gamma_value <= 0:
         raise UsageError("the absorption strength must be positive")
-    if args.m_value == 0:
-        raise UsageError("the channel number M must be non-zero")
+    if args.m_value <= 0:
+        raise UsageError("the channel number M must be positive")
     values: dict[str, Fraction] = {}
     omitted: dict[str, Fraction | None] = {}
     for regime, order in requested.items():
@@ -382,12 +382,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    report = validate_conjectures(args.n_max, args.order)
-    for line in report.lines():
-        print(line)
-    sys.stdout.write(render_json({"schema_version": SCHEMA_VERSION,
-                                  **report.to_dict()}))
-    if args.strict and not report.all_passed:
+    results = validate_conjectures(args.n_max, args.order)
+    for res in results:
+        line = f"{'PASS' if res.passed else 'FAIL'} {res.key}: {res.description}"
+        print(line + (f" [{res.detail}]" if res.detail and not res.passed else ""))
+    all_passed = all(res.passed for res in results)
+    sys.stdout.write(render_json({
+        "schema_version": SCHEMA_VERSION,
+        "max_n": args.n_max,
+        "all_passed": all_passed,
+        "items": [{"id": res.key, "description": res.description,
+                   "passed": res.passed, "detail": res.detail}
+                  for res in results],
+    }))
+    if args.strict and not all_passed:
         return 1
     return 0
 

@@ -28,10 +28,12 @@ from .algebra import (
     VAR_GAMMA,
     VAR_INV_GAMMA,
     VAR_INV_M,
+    VARIABLES,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
     laurent_expand_inverse_power,
+    operand_order,
 )
 from .partitions import (
     ContainmentError,
@@ -339,51 +341,30 @@ def delay_schur_moment(lam: PartitionLike, regime: str, order: int) -> Truncated
                          "request a non-empty partition")
     if order < 0:
         raise ValueError("order must be non-negative")
+    if regime not in VARIABLES:
+        raise ValueError(f"unknown regime {regime!r}")
     return _delay_schur_moment(lp, regime, order)
 
 
 @cache
 def _delay_schur_moment(lp: tuple[int, ...], regime: str, order: int) -> TruncatedSeries:
+    # The same transform serves every regime: the table in `algebra` says
+    # how the factor B(M) and the division by g**|lam| move the powers, and
+    # `operand_order` how many powers each reflection moment must carry.
     weight = sum(lp)
-    if regime == VAR_INV_M:
-        total = TruncatedSeries.zero(VAR_INV_M, order)
-        for mu in subpartitions(lp):
-            b_poly = binomial_determinant(lp, mu.parts)
-            inner = _reflection_inv_m(mu.parts, order + (weight - mu.weight))
-            term = inner.times_m_polynomial(b_poly)
-            if mu.weight % 2:
-                term = -term
-            total = total + term
-        g_prefactor = RationalFunction(Polynomial.constant(SYM_G, 1),
-                                       Polynomial(SYM_G, (0,) * weight + (1,)))
-        return total.scale(g_prefactor).truncate(order)
-
+    total = TruncatedSeries.zero(regime, operand_order(regime, order, 0, -weight))
+    for mu in subpartitions(lp):
+        inner = reflection_schur_moment(
+            mu, regime, operand_order(regime, order, weight - mu.weight, -weight))
+        term = inner.times_m_polynomial(binomial_determinant(lp, mu.parts))
+        total = total + (-term if mu.weight % 2 else term)
+    total = total.times_power(SYM_G, -weight)
     if regime == VAR_GAMMA:
-        internal = order + weight
-        total = TruncatedSeries.zero(VAR_GAMMA, internal)
-        for mu in subpartitions(lp):
-            b_scalar = RationalFunction(binomial_determinant(lp, mu.parts))
-            term = _reflection_gamma(mu.parts, internal).scale(b_scalar)
-            if mu.weight % 2:
-                term = -term
-            total = total + term
-        for p in range(total.min_power, weight):
-            if not total.coefficient(p).is_zero:
+        for p in sorted(total.coeffs):
+            if p < 0:
                 raise InternalConsistencyError(
                     f"transform of {Partition(lp)} left a non-zero coefficient "
-                    f"at g^{p}; the leading {weight} powers must cancel")
-        shifted = {p - weight: c for p, c in total.coeffs.items() if p >= weight}
-        return TruncatedSeries(VAR_GAMMA, shifted, order, min_power=0)
-
-    if regime == VAR_INV_GAMMA:
-        internal = max(order - weight, 0)
-        total = TruncatedSeries.zero(VAR_INV_GAMMA, internal)
-        for mu in subpartitions(lp):
-            b_scalar = RationalFunction(binomial_determinant(lp, mu.parts))
-            term = _reflection_inv_gamma(mu.parts, internal).scale(b_scalar)
-            if mu.weight % 2:
-                term = -term
-            total = total + term
-        return total.shift_power(weight).truncate(order)
-
-    raise ValueError(f"unknown regime {regime!r}")
+                    f"at g^{p + weight}; the leading {weight} powers must cancel")
+        # The check proves the bound 0; products derive their order from it.
+        total = TruncatedSeries(VAR_GAMMA, total.coeffs, total.order, min_power=0)
+    return total.truncate(order)

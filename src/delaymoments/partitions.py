@@ -220,24 +220,6 @@ def _parts_from_betas(betas: list[int], length: int) -> tuple[int, ...]:
     return tuple(p for p in parts if p > 0)
 
 
-def _strip_removals(parts: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
-    """All ways to remove a border strip of size k; yields (shape, height)."""
-    length = len(parts)
-    if length == 0:
-        return []
-    betas = [parts[i] + (length - 1 - i) for i in range(length)]
-    beta_set = set(betas)
-    out = []
-    for b in betas:
-        t = b - k
-        if t < 0 or t in beta_set:
-            continue
-        height = sum(1 for c in betas if t < c < b)
-        new = sorted((beta_set - {b}) | {t}, reverse=True)
-        out.append((_parts_from_betas(new, length), height))
-    return out
-
-
 def _strip_additions(parts: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
     """All ways to add a border strip of size k; yields (shape, height)."""
     length = len(parts) + k
@@ -257,19 +239,12 @@ def _strip_additions(parts: tuple[int, ...], k: int) -> list[tuple[tuple[int, ..
 
 @cache
 def _character(mu: tuple[int, ...], beta: tuple[int, ...]) -> int:
-    if not beta:
-        return 1
-    k, rest = beta[0], beta[1:]
-    return sum((-1) ** height * _character(shape, rest)
-               for shape, height in _strip_removals(mu, k))
+    return character_row(beta).get(mu, 0)
 
 
 def character(mu: PartitionLike, beta: PartitionLike) -> int:
-    """Symmetric-group character at cycle type beta, irreducible label mu.
-
-    Computed by the border-strip (Murnaghan-Nakayama) recursion over the
-    parts of beta, memoized on (shape, remaining cycle type).
-    """
+    """Symmetric-group character at cycle type beta, irreducible label mu:
+    the entry of `character_row(beta)` (0 when mu is absent from it)."""
     mp, bp = as_parts(mu), as_parts(beta)
     if sum(mp) != sum(bp):
         raise WeightMismatchError(f"|mu|={sum(mp)} differs from |beta|={sum(bp)}")
@@ -281,8 +256,9 @@ def character_row(beta: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
     """Characters of every irreducible at cycle type beta, as one mapping.
 
     Expands the power-sum product for the cycle type in the Schur basis by
-    iterated border-strip addition; entry [mu] equals character(mu, beta).
-    The result is a read-only view of the cached dict.
+    iterated border-strip addition (the Murnaghan-Nakayama rule); shapes
+    with a zero character are omitted.  The result is a read-only view of
+    the cached dict.
     """
     row: dict[tuple[int, ...], int] = {(): 1}
     for k in beta:

@@ -10,8 +10,9 @@ exactly known slope relations; see the check descriptions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 from typing import Callable
 
 from .algebra import (
@@ -27,47 +28,16 @@ from .algebra import (
 from .engine import reflection_schur_moment, rising_factorial
 from .partitions import dimension, enumerate_partitions
 from .stats import (
+    Check,
     RegimeRequest,
     _trace_moment,
+    conjecture_checks,
     cumulant,
-    validate_conjectures,
+    match_window,
     wigner_moment,
 )
-from math import factorial
 
 SCOPES = ("intro", "section3", "section4", "section5", "conjectures")
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    key: str
-    scope: str
-    hard: bool
-    passed: bool
-    description: str
-    detail: str = ""
-
-    def line(self) -> str:
-        kind = "HARD" if self.hard else "SOFT"
-        status = "PASS" if self.passed else "FAIL"
-        text = f"{status} [{kind}] {self.key}: {self.description}"
-        if self.detail:
-            text += f"  ({self.detail})"
-        return text
-
-
-@dataclass(frozen=True)
-class Check:
-    key: str
-    scope: str
-    hard: bool
-    description: str
-    run: Callable[[], tuple[bool, str]]
-
-    def execute(self) -> CheckResult:
-        passed, detail = self.run()
-        return CheckResult(self.key, self.scope, self.hard, passed,
-                           self.description, detail)
 
 
 def _pg(*coeffs) -> Polynomial:
@@ -86,26 +56,12 @@ def _rf(num: Polynomial, den: Polynomial | int = 1) -> RationalFunction:
 _ONE_PLUS_G = _pg(1, 1)
 
 
-def _zero_rf(symbol: str) -> RationalFunction:
-    return RationalFunction.constant(symbol, 0)
-
-
-def _match_window(series: TruncatedSeries, expected: dict[int, RationalFunction],
-                  lo: int, hi: int) -> tuple[bool, str]:
-    for p in range(lo, hi + 1):
-        want = expected.get(p, _zero_rf(series.coefficient_symbol))
-        got = series.coefficient(p)
-        if got != want:
-            return False, f"power {p}: computed {got}, expected {want}"
-    return True, ""
-
-
 def _series_check(key: str, scope: str, description: str,
                   compute: Callable[[], TruncatedSeries],
                   expected: dict[int, RationalFunction],
                   lo: int, hi: int, hard: bool = True) -> Check:
     def run() -> tuple[bool, str]:
-        return _match_window(compute(), expected, lo, hi)
+        return match_window(compute(), expected, lo, hi)
 
     return Check(key, scope, hard, description, run)
 
@@ -473,17 +429,7 @@ def _section5_checks() -> list[Check]:
 
 
 def _conjecture_checks(max_n: int) -> list[Check]:
-    report = validate_conjectures(max_n)
-    checks = []
-    for item in report.items:
-        passed, detail = item.passed, item.detail
-
-        def run(p=passed, d=detail) -> tuple[bool, str]:
-            return p, d
-
-        checks.append(Check(f"conjectures.{item.item_id}", "conjectures",
-                            False, item.description, run))
-    return checks
+    return [replace(c, key=f"conjectures.{c.key}") for c in conjecture_checks(max_n)]
 
 
 def all_checks(scope: str = "all", conjecture_max_n: int = 4) -> list[Check]:

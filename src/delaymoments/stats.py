@@ -8,10 +8,11 @@ moment-cumulant recursion.  Everything stays in exact series arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb, factorial
+from typing import Callable
 
 from .algebra import (
     SYM_G,
@@ -23,13 +24,14 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    operand_order,
 )
 from .engine import delay_schur_moment, reflection_schur_moment
 from .partitions import (
     Partition,
     PartitionLike,
     as_parts,
-    character,
+    character_row,
     dimension,
     enumerate_partitions,
 )
@@ -73,11 +75,6 @@ class StatisticRequest:
             raise ValueError(f"{self.kind} needs n >= 1")
 
 
-def _inverse_m_power(n: int) -> RationalFunction:
-    return RationalFunction(Polynomial.constant(SYM_M, 1),
-                            Polynomial(SYM_M, (0,) * n + (1,)))
-
-
 def power_sum_moment(lam: PartitionLike, req: RegimeRequest) -> TruncatedSeries:
     """Moment of the product of traces Tr(Q^lam_i), via the character
     expansion of power sums in the Schur basis."""
@@ -85,10 +82,7 @@ def power_sum_moment(lam: PartitionLike, req: RegimeRequest) -> TruncatedSeries:
     if not lp:
         raise ValueError("power sums need a non-empty partition")
     total = None
-    for mu in enumerate_partitions(sum(lp)):
-        chi = character(mu, lp)
-        if not chi:
-            continue
+    for mu, chi in character_row(lp).items():
         term = delay_schur_moment(mu, req.regime, req.order).scale(chi)
         total = term if total is None else total + term
     assert total is not None
@@ -97,21 +91,13 @@ def power_sum_moment(lam: PartitionLike, req: RegimeRequest) -> TruncatedSeries:
 
 @cache
 def _wigner_moment(n: int, regime: str, order: int) -> TruncatedSeries:
-    if regime == VAR_INV_M:
-        # Dividing by M**n shifts the 1/M powers up by n.
-        inner_order = max(order - n, 0)
-        total = None
-        for mu in enumerate_partitions(n):
-            term = delay_schur_moment(mu, regime, inner_order).scale(dimension(mu))
-            total = term if total is None else total + term
-        assert total is not None
-        return total.shift_power(n).truncate(order)
+    inner_order = operand_order(regime, order, m_power=-n)
     total = None
     for mu in enumerate_partitions(n):
-        term = delay_schur_moment(mu, regime, order).scale(dimension(mu))
+        term = delay_schur_moment(mu, regime, inner_order).scale(dimension(mu))
         total = term if total is None else total + term
     assert total is not None
-    return total.scale(_inverse_m_power(n)).truncate(order)
+    return total.times_power(SYM_M, -n).truncate(order)
 
 
 def wigner_moment(n: int, req: RegimeRequest) -> TruncatedSeries:
@@ -173,44 +159,55 @@ def compute_statistic(sreq: StatisticRequest) -> TruncatedSeries:
 
 
 # --------------------------------------------------------------------------
-# Conjectured patterns: checked exactly, reported rather than asserted.
+# Checks: a named comparison run on demand; the reference registry and the
+# conjectured patterns below share this one type.
 
 
 @dataclass(frozen=True)
-class ConjectureItem:
-    item_id: str
-    description: str
+class CheckResult:
+    key: str
+    scope: str
+    hard: bool
     passed: bool
+    description: str
     detail: str = ""
 
     def line(self) -> str:
+        kind = "HARD" if self.hard else "SOFT"
         status = "PASS" if self.passed else "FAIL"
-        text = f"{status} {self.item_id}: {self.description}"
-        if self.detail and not self.passed:
-            text += f" [{self.detail}]"
+        text = f"{status} [{kind}] {self.key}: {self.description}"
+        if self.detail:
+            text += f"  ({self.detail})"
         return text
 
 
-@dataclass
-class ConjectureReport:
-    max_n: int
-    items: list[ConjectureItem] = field(default_factory=list)
+@dataclass(frozen=True)
+class Check:
+    key: str
+    scope: str
+    hard: bool
+    description: str
+    run: Callable[[], tuple[bool, str]]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(item.passed for item in self.items)
+    def execute(self) -> CheckResult:
+        passed, detail = self.run()
+        return CheckResult(self.key, self.scope, self.hard, passed,
+                           self.description, detail)
 
-    def lines(self) -> list[str]:
-        return [item.line() for item in self.items]
 
-    def to_dict(self) -> dict:
-        return {
-            "max_n": self.max_n,
-            "all_passed": self.all_passed,
-            "items": [{"id": it.item_id, "description": it.description,
-                       "passed": it.passed, "detail": it.detail}
-                      for it in self.items],
-        }
+def match_window(series: TruncatedSeries, expected: dict[int, RationalFunction],
+                 lo: int, hi: int) -> tuple[bool, str]:
+    """Compare powers lo..hi with `expected` (absent powers must vanish)."""
+    for p in range(lo, hi + 1):
+        want = expected.get(p, RationalFunction.constant(series.coefficient_symbol, 0))
+        got = series.coefficient(p)
+        if got != want:
+            return False, f"power {p}: computed {got}, expected {want}"
+    return True, ""
+
+
+# --------------------------------------------------------------------------
+# Conjectured patterns: checked exactly, reported rather than asserted.
 
 
 def _rf_m(num: Polynomial | int | Fraction, den: Polynomial | int | Fraction = 1) -> RationalFunction:
@@ -223,108 +220,115 @@ def _rf_m(num: Polynomial | int | Fraction, den: Polynomial | int | Fraction = 1
 
 def _trace_moment(n: int, regime: str, order: int) -> TruncatedSeries:
     """<Tr(Q**n)>/M in the requested regime."""
-    series = power_sum_moment((n,), RegimeRequest(regime, order if regime != VAR_INV_M
-                                                  else max(order - 1, 0)))
-    if regime == VAR_INV_M:
-        return series.shift_power(1).truncate(order)
-    return series.scale(_inverse_m_power(1))
+    series = power_sum_moment((n,), RegimeRequest(
+        regime, operand_order(regime, order, m_power=-1)))
+    return series.times_power(SYM_M, -1).truncate(order)
 
 
-def validate_conjectures(max_n: int, order: int = 0) -> ConjectureReport:
-    """Exact checks of the five conjectured patterns, for all n <= max_n.
+_M_SQ = Polynomial(SYM_M, (0, 0, 1))
+
+
+def _large_m_second(n: int, extra: int) -> tuple[bool, str]:
+    # 1/(1+g)^n + (n(n-1)g^2/2 - ng + n(n-1)) / ((1+g)^(n+4) M^2) + O(M^-4).
+    one_plus_g = Polynomial(SYM_G, (1, 1))
+    series = _wigner_moment(n, VAR_INV_M, 2 + extra)
+    expected0 = RationalFunction(Polynomial(SYM_G, (1,)), one_plus_g ** n)
+    num = Polynomial(SYM_G, (n * (n - 1), -n, Fraction(n * (n - 1), 2)))
+    expected2 = RationalFunction(num, one_plus_g ** (n + 4))
+    ok = (series.coefficient(0) == expected0
+          and series.coefficient(1).is_zero
+          and series.coefficient(2) == expected2)
+    return ok, "" if ok else f"power2={series.coefficient(2)} expected={expected2}"
+
+
+def _trace_slope(n: int, extra: int) -> tuple[bool, str]:
+    # P_n(g) = P_n(0) - (n/2) P_{n+1}(0) g + O(g^2).
+    p_n = _trace_moment(n, VAR_GAMMA, 1 + extra)
+    p_next = _trace_moment(n + 1, VAR_GAMMA, extra)
+    expected = p_next.coefficient(0) * Fraction(-n, 2)
+    ok = p_n.coefficient(1) == expected
+    return ok, "" if ok else f"slope={p_n.coefficient(1)} expected={expected}"
+
+
+def _cumulant_slope(n: int, extra: int) -> tuple[bool, str]:
+    # k_n(g) = k_n(0) - (M^2/2) k_{n+1}(0) g + O(g^2).
+    k_n = _cumulant(n, VAR_GAMMA, 1 + extra)
+    k_next = _cumulant(n + 1, VAR_GAMMA, extra)
+    expected = k_next.coefficient(0) * _rf_m(_M_SQ) * Fraction(-1, 2)
+    ok = k_n.coefficient(1) == expected
+    return ok, "" if ok else f"slope={k_n.coefficient(1)} expected={expected}"
+
+
+def _trace_opening(n: int, extra: int) -> tuple[bool, str]:
+    series = _trace_moment(n, VAR_INV_GAMMA, n + 3 + extra)
+    tail_num = Polynomial(SYM_M, (n * (n + 2), 0, n * (5 * n - 2)))
+    expected = {
+        n: _rf_m(1), n + 1: _rf_m(-n), n + 2: _rf_m(n * n),
+        n + 3: _rf_m(tail_num * Fraction(-(n + 1), 6), _M_SQ),
+    }
+    return match_window(series, expected, series.min_power, n + 3)
+
+
+def _wigner_opening(n: int, extra: int) -> tuple[bool, str]:
+    series = _wigner_moment(n, VAR_INV_GAMMA, n + 2 + extra)
+    num2 = Polynomial(SYM_M, (n * (n - 1), 0, n * (n + 1)))
+    expected = {n: _rf_m(1), n + 1: _rf_m(-n),
+                n + 2: _rf_m(num2 * Fraction(1, 2), _M_SQ)}
+    return match_window(series, expected, series.min_power, n + 2)
+
+
+def _cumulant_tail(n: int, extra: int) -> tuple[bool, str]:
+    # (-1)^n k_n = (n-1)!/(M^(2n-2) g^(2n)) - (2n-1) n (n-1)!/(M^(2n-2) g^(2n+1)) + ...
+    series = _cumulant(n, VAR_INV_GAMMA, 2 * n + 1 + extra)
+    sign = (-1) ** n
+    m_pow = Polynomial(SYM_M, (0,) * (2 * n - 2) + (1,))
+    expected = {2 * n: _rf_m(sign * factorial(n - 1), m_pow),
+                2 * n + 1: _rf_m(-sign * (2 * n - 1) * n * factorial(n - 1), m_pow)}
+    return match_window(series, expected, series.min_power, 2 * n + 1)
+
+
+def conjecture_checks(max_n: int, order: int = 0) -> list[Check]:
+    """Lazy exact checks of the five conjectured patterns, for all n <= max_n.
 
     `order` adds extra guaranteed powers beyond each pattern's stated window;
-    the stated coefficients themselves are always checked.  Failures are
-    findings, not errors.
+    the stated coefficients themselves are always checked.  The checks are
+    soft: failures are findings, not errors.
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     extra = max(order, 0)
-    report = ConjectureReport(max_n=max_n)
-    add = report.items.append
+    checks: list[Check] = []
 
-    one_plus_g = Polynomial(SYM_G, (1, 1))
-    m_sq = Polynomial(SYM_M, (0, 0, 1))
+    def add(key: str, description: str, run: Callable[[int, int], tuple[bool, str]],
+            n: int) -> None:
+        checks.append(Check(key, "conjectures", False, description,
+                            partial(run, n, extra)))
 
-    # (a) Large-M pattern for the n-th power of the normalized total delay:
-    #     1/(1+g)^n + (n(n-1)g^2/2 - ng + n(n-1)) / ((1+g)^(n+4) M^2) + O(M^-4).
-    for n in range(1, max_n + 1):
-        series = _wigner_moment(n, VAR_INV_M, 2 + extra)
-        expected0 = RationalFunction(Polynomial(SYM_G, (1,)), one_plus_g ** n)
-        num = Polynomial(SYM_G, (n * (n - 1), -n, Fraction(n * (n - 1), 2)))
-        expected2 = RationalFunction(num, one_plus_g ** (n + 4))
-        ok = (series.coefficient(0) == expected0
-              and series.coefficient(1).is_zero
-              and series.coefficient(2) == expected2)
-        add(ConjectureItem(
-            f"a.n={n}", "large-M second coefficient of <(Tr Q)^n>/M^n", ok,
-            "" if ok else f"power2={series.coefficient(2)} expected={expected2}"))
-
-    # (b) Weak-absorption slope of trace moments:
-    #     P_n(g) = P_n(0) - (n/2) P_{n+1}(0) g + O(g^2).
-    for n in range(1, max_n + 1):
-        p_n = _trace_moment(n, VAR_GAMMA, 1 + extra)
-        p_next = _trace_moment(n + 1, VAR_GAMMA, extra)
-        expected = p_next.coefficient(0) * Fraction(-n, 2)
-        ok = p_n.coefficient(1) == expected
-        add(ConjectureItem(
-            f"b.n={n}", "weak-absorption slope of <Tr Q^n>/M", ok,
-            "" if ok else f"slope={p_n.coefficient(1)} expected={expected}"))
-
-    # (c) Weak-absorption slope of cumulants:
-    #     k_n(g) = k_n(0) - (M^2/2) k_{n+1}(0) g + O(g^2).
-    for n in range(1, max_n + 1):
-        k_n = _cumulant(n, VAR_GAMMA, 1 + extra)
-        k_next = _cumulant(n + 1, VAR_GAMMA, extra)
-        expected = k_next.coefficient(0) * _rf_m(m_sq) * Fraction(-1, 2)
-        ok = k_n.coefficient(1) == expected
-        add(ConjectureItem(
-            f"c.n={n}", "weak-absorption slope of the n-th cumulant", ok,
-            "" if ok else f"slope={k_n.coefficient(1)} expected={expected}"))
-
+    ns = range(1, max_n + 1)
+    # (a) Large-M pattern for the n-th power of the normalized total delay.
+    for n in ns:
+        add(f"a.n={n}", "large-M second coefficient of <(Tr Q)^n>/M^n",
+            _large_m_second, n)
+    # (b) Weak-absorption slope of trace moments.
+    for n in ns:
+        add(f"b.n={n}", "weak-absorption slope of <Tr Q^n>/M", _trace_slope, n)
+    # (c) Weak-absorption slope of cumulants.
+    for n in ns:
+        add(f"c.n={n}", "weak-absorption slope of the n-th cumulant",
+            _cumulant_slope, n)
     # (d) Strong-absorption openings of <Tr Q^n>/M and <(Tr Q)^n>/M^n.
-    for n in range(1, max_n + 1):
-        series = _trace_moment(n, VAR_INV_GAMMA, n + 3 + extra)
-        tail_num = Polynomial(SYM_M, (n * (n + 2), 0, n * (5 * n - 2)))
-        expected = {
-            n: _rf_m(1), n + 1: _rf_m(-n), n + 2: _rf_m(n * n),
-            n + 3: _rf_m(tail_num * Fraction(-(n + 1), 6), m_sq),
-        }
-        mism = _first_mismatch(series, expected, series.min_power, n + 3)
-        add(ConjectureItem(
-            f"d1.n={n}", "strong-absorption opening of <Tr Q^n>/M",
-            mism is None, mism or ""))
-
-        series = _wigner_moment(n, VAR_INV_GAMMA, n + 2 + extra)
-        num2 = Polynomial(SYM_M, (n * (n - 1), 0, n * (n + 1)))
-        expected = {n: _rf_m(1), n + 1: _rf_m(-n),
-                    n + 2: _rf_m(num2 * Fraction(1, 2), m_sq)}
-        mism = _first_mismatch(series, expected, series.min_power, n + 2)
-        add(ConjectureItem(
-            f"d2.n={n}", "strong-absorption opening of <(Tr Q)^n>/M^n",
-            mism is None, mism or ""))
-
-    # (e) Strong-absorption cumulant tail, n > 1:
-    #     (-1)^n k_n = (n-1)!/(M^(2n-2) g^(2n)) - (2n-1) n (n-1)!/(M^(2n-2) g^(2n+1)) + ...
+    for n in ns:
+        add(f"d1.n={n}", "strong-absorption opening of <Tr Q^n>/M",
+            _trace_opening, n)
+        add(f"d2.n={n}", "strong-absorption opening of <(Tr Q)^n>/M^n",
+            _wigner_opening, n)
+    # (e) Strong-absorption cumulant tail, n > 1.
     for n in range(2, max_n + 1):
-        series = _cumulant(n, VAR_INV_GAMMA, 2 * n + 1 + extra)
-        sign = (-1) ** n
-        m_pow = Polynomial(SYM_M, (0,) * (2 * n - 2) + (1,))
-        expected = {2 * n: _rf_m(sign * factorial(n - 1), m_pow),
-                    2 * n + 1: _rf_m(-sign * (2 * n - 1) * n * factorial(n - 1), m_pow)}
-        mism = _first_mismatch(series, expected, series.min_power, 2 * n + 1)
-        add(ConjectureItem(
-            f"e.n={n}", "strong-absorption tail of the n-th cumulant",
-            mism is None, mism or ""))
-
-    return report
+        add(f"e.n={n}", "strong-absorption tail of the n-th cumulant",
+            _cumulant_tail, n)
+    return checks
 
 
-def _first_mismatch(series: TruncatedSeries, expected: dict[int, RationalFunction],
-                    lo: int, hi: int) -> str | None:
-    for p in range(lo, hi + 1):
-        want = expected.get(p, RationalFunction.constant(series.coefficient_symbol, 0))
-        got = series.coefficient(p)
-        if got != want:
-            return f"power {p}: computed {got}, expected {want}"
-    return None
+def validate_conjectures(max_n: int, order: int = 0) -> list[CheckResult]:
+    """Run every conjecture check (see `conjecture_checks`) in order."""
+    return [c.execute() for c in conjecture_checks(max_n, order)]

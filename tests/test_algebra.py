@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaymoments.algebra import (
+    COEFF_SYMBOL,
+    VARIABLES,
     ExactDivisionError,
     PoleError,
     Polynomial,
@@ -12,9 +14,11 @@ from delaymoments.algebra import (
     SeriesOrderError,
     TruncatedSeries,
     VAR_GAMMA,
+    VAR_INV_GAMMA,
     VAR_INV_M,
     VariableMismatchError,
     laurent_expand_inverse_power,
+    operand_order,
     polynomial_gcd,
 )
 
@@ -219,6 +223,40 @@ class TestTruncatedSeries:
         shifted = s.times_m_polynomial(Polynomial("M", (0, 0, 1)))
         assert shifted.min_power == -2 and shifted.order == 4
         assert shifted.coefficient(-2) == RationalFunction.constant("g", 1)
+
+        # Every variable and symbol of the regime table: a product is exact
+        # (nothing is dropped from a series far below its order), and an
+        # operand at operand_order keeps `order` exact powers after it.
+        m_val, g_val = Fraction(7, 3), Fraction(2, 5)
+        # (value of the expansion variable, value of the coefficient symbol)
+        point = {VAR_INV_M: (1 / m_val, g_val), VAR_GAMMA: (g_val, m_val),
+                 VAR_INV_GAMMA: (1 / g_val, m_val)}
+
+        def value_at(t):
+            x, c_at = point[t.variable]
+            return sum(c.evaluate(c_at) * x**p for p, c in t.coeffs.items())
+
+        b = pm(3, -1, 2)
+        for variable in VARIABLES:
+            sym = COEFF_SYMBOL[variable]
+            s = series(variable, {0: RationalFunction(Polynomial(sym, (1, 2)),
+                                                      Polynomial(sym, (3, 1))),
+                                  1: 5}, 6)
+            value = value_at(s)
+            assert s.evaluate(m_val, g_val) == value
+            assert value_at(s.times_m_polynomial(b)) == value * b.evaluate(m_val)
+            for symbol, x in (("M", m_val), ("g", g_val)):
+                for k in (-3, 0, 2):
+                    assert value_at(s.times_power(symbol, k)) == value * x**k, \
+                        (variable, symbol, k)
+            for m_power, g_power in ((2, -3), (0, -2), (-4, 0), (1, 1), (0, 5)):
+                operand = series(variable, {0: 1},
+                                 operand_order(variable, 3, m_power, g_power))
+                product = operand.times_power("M", m_power).times_power("g", g_power)
+                assert product.order >= 3, (variable, m_power, g_power)
+            operand = series(variable, {0: 1}, operand_order(variable, 3, b.degree))
+            assert operand.times_m_polynomial(b).order >= 3, variable
+        assert operand_order(VAR_GAMMA, 3, 0, 5) == 0
 
     def test_evaluate(self):
         s = series(VAR_INV_M, {0: RationalFunction(pg(1), pg(1, 1)), 2: 1}, 2)

@@ -157,10 +157,13 @@ def test_eval_pole_names_factor(capsys):
 
 
 def test_eval_zero_channel_number_is_usage_error():
-    code, _, err = run_cold("eval", "--variance", "--m-value", "0", "--gamma-value", "1/2",
-                         "--order-inv-m", "2")
-    assert code == 2
-    assert "error:" in err and "Traceback" not in err
+    # A negative M is refused too; positive non-integer M is evaluated.
+    for m_value in ("0", "-20"):
+        code, out, err = run_cold("eval", "--variance", "--m-value", m_value,
+                                  "--gamma-value", "1/2", "--order-inv-m", "2")
+        assert code == 2 and out == "", m_value
+        assert "error: the channel number M must be positive" in err
+        assert "Traceback" not in err
 
 
 def test_eval_order_cap(tmp_path, capsys):

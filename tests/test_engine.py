@@ -6,6 +6,7 @@ import pytest
 from delaymoments.algebra import (
     Polynomial,
     RationalFunction,
+    TruncatedSeries,
     SYM_G,
     SYM_M,
     VAR_GAMMA,
@@ -13,6 +14,7 @@ from delaymoments.algebra import (
     VAR_INV_M,
 )
 from delaymoments.engine import (
+    InternalConsistencyError,
     absorption_weight,
     binomial_determinant,
     delay_schur_moment,
@@ -157,6 +159,29 @@ class TestDelayMoments:
     def test_rejects_empty_shape(self):
         with pytest.raises(ValueError):
             delay_schur_moment((), VAR_GAMMA, 1)
+
+    def test_rejects_unknown_regime(self):
+        with pytest.raises(ValueError, match="unknown regime"):
+            delay_schur_moment((1,), "bogus", 2)
+
+    def test_broken_gamma_cancellation_is_reported(self, monkeypatch):
+        # A gamma reflection moment that is off by a constant for the empty
+        # shape leaves g^0 in the transform, which must not pass silently.
+        from delaymoments import engine
+
+        real = engine._reflection_gamma
+
+        def perturbed(mp, order):
+            series = real(mp, order)
+            return series if mp else series + TruncatedSeries(VAR_GAMMA, {0: 1}, order)
+
+        engine._delay_schur_moment.cache_clear()
+        monkeypatch.setattr(engine, "_reflection_gamma", perturbed)
+        try:
+            with pytest.raises(InternalConsistencyError, match=r"at g\^0;"):
+                delay_schur_moment((1,), VAR_GAMMA, 1)
+        finally:
+            engine._delay_schur_moment.cache_clear()
 
     def test_binomial_transform_vanishing(self):
         # Fingerprint of Q = 0 at zero absorption: the alternating

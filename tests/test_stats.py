@@ -106,14 +106,25 @@ def test_compute_statistic_dispatch():
 
 
 def test_validate_conjectures_small():
-    report = validate_conjectures(2)
-    assert report.all_passed
-    ids = {item.item_id for item in report.items}
+    results = validate_conjectures(2)
+    assert all(res.passed and not res.detail for res in results)
+    assert all(res.scope == "conjectures" and not res.hard for res in results)
+    ids = [res.key for res in results]
     assert {"a.n=1", "a.n=2", "b.n=1", "c.n=2", "d1.n=2", "d2.n=1",
-            "e.n=2"} <= ids
-    payload = report.to_dict()
-    assert payload["all_passed"] is True
-    assert len(payload["items"]) == len(report.items)
+            "e.n=2"} <= set(ids)
+    assert len(ids) == len(set(ids)) == 11
+
+
+def test_registering_conjecture_checks_computes_nothing():
+    from delaymoments.reference import all_checks
+
+    def calls():
+        return [sum(f.cache_info()[:2]) for f in (_wigner_moment, _cumulant)]
+
+    before = calls()
+    checks = all_checks("conjectures")
+    assert calls() == before
+    assert checks and all(c.key.startswith("conjectures.") for c in checks)
 
 
 def test_summation_order_invariance():
