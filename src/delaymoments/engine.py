@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
-from typing import Callable
+from math import factorial, prod
 
 from .algebra import (
     SYM_G,
@@ -36,7 +35,6 @@ from .algebra import (
     operand_order,
 )
 from .partitions import (
-    ContainmentError,
     Partition,
     PartitionLike,
     as_parts,
@@ -47,6 +45,8 @@ from .partitions import (
     durfee,
     enumerate_partitions,
     schur_product,
+    skew_contents,
+    skew_tableaux,
     subpartitions,
 )
 
@@ -58,16 +58,14 @@ class InternalConsistencyError(RuntimeError):
 def rising_factorial(mu: PartitionLike) -> Polynomial:
     """Cell-content form of the generalized rising factorial: the product of
     (M + content) over the Young diagram; 1 for the empty shape."""
-    cells = Partition(as_parts(mu)).cells()
-    return Polynomial.from_roots(SYM_M, (i - j for i, j in cells))
+    return Polynomial.from_roots(SYM_M, (-c for c in skew_contents(mu)))
 
 
 def falling_factorial(rho: PartitionLike) -> Polynomial:
     """Generalized falling factorial: row i contributes the product of
-    (M + i - t) for t = 1..rho_i (rows 1-based); 1 for the empty shape."""
-    rows = enumerate(as_parts(rho), start=1)
-    return Polynomial.from_roots(SYM_M, (t - i for i, part in rows
-                                         for t in range(1, part + 1)))
+    (M + i - t) for t = 1..rho_i (rows 1-based), that is (M - content) over
+    the Young diagram; 1 for the empty shape."""
+    return Polynomial.from_roots(SYM_M, skew_contents(rho))
 
 
 def absorption_weight(beta: PartitionLike) -> Polynomial:
@@ -78,83 +76,34 @@ def absorption_weight(beta: PartitionLike) -> Polynomial:
     return p
 
 
-def _gbinom(x: int, y: int) -> int:
-    """Binomial "x choose y" continued to arbitrary integers via the falling
-    factorial on the gap x - y: zero when x < y, else the product of
-    y+1..x over (x-y)!."""
-    if x < y:
-        return 0
-    num = 1
-    for t in range(y + 1, x + 1):
-        num *= t
-    return num // factorial(x - y)
-
-
-def _poly_binom(a: int, b: int) -> Polynomial:
-    """Polynomial in M: binomial(M+a, M+b) via the product of (M+k) for
-    k = b+1..a over (a-b)!; zero when a < b."""
-    if a < b:
-        return Polynomial(SYM_M)
-    return Polynomial.from_roots(SYM_M, range(-a, -b)) * Fraction(1, factorial(a - b))
-
-
-def _det_bareiss(rows: list[list], one, exact_div: Callable):
-    """Fraction-free determinant; `exact_div` must be exact in the ring."""
-    n = len(rows)
-    if n == 0:
-        return one
-    mat = [row[:] for row in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if _is_ring_zero(mat[k][k]):
-            pivot_row = next((i for i in range(k + 1, n)
-                              if not _is_ring_zero(mat[i][k])), None)
-            if pivot_row is None:
-                return one - one
-            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = exact_div(mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j],
-                                      prev)
-            mat[i][k] = mat[k][k] - mat[k][k]
-        prev = mat[k][k]
-    result = mat[n - 1][n - 1]
-    return result if sign == 1 else -result
-
-
-def _is_ring_zero(x) -> bool:
-    if isinstance(x, Polynomial):
-        return x.is_zero
-    return x == 0
-
-
 def binomial_determinant(lam: PartitionLike, mu: PartitionLike) -> Polynomial:
     """Change-of-basis coefficient between Schur moments of Q and of R: the
     determinant of binomial(M + lam_i - i, M + mu_j - j), with mu padded by
-    zeros to the length of lam.  Requires mu inside lam."""
+    zeros to the length of lam.  Requires mu inside lam.
+
+    In closed form it is f/|lam/mu|! times the product of (M + content) over
+    the cells of lam/mu, where f counts the standard tableaux of lam/mu.
+    """
     lp, mp = as_parts(lam), as_parts(mu)
-    if not Partition(lp).contains(mp):
-        raise ContainmentError(f"{Partition(mp)} does not fit inside {Partition(lp)}")
-    n = len(lp)
-    rows = [[_poly_binom(lp[i] - (i + 1), (mp[j] if j < len(mp) else 0) - (j + 1))
-             for j in range(n)] for i in range(n)]
-    return _det_bareiss(rows, Polynomial.constant(SYM_M, 1),
-                        lambda a, b: a.exact_div(b))
+    contents = skew_contents(lp, mp)
+    return Polynomial.from_roots(SYM_M, (-c for c in contents)) * Fraction(
+        skew_tableaux(lp, mp), factorial(len(contents)))
 
 
 def geometric_determinant(mu: PartitionLike, rho: PartitionLike) -> int:
     """Integer determinant of binomial(rho_i - i, mu_j - j), padded with
     zeros to the length of rho; the coefficients of the partition-indexed
-    generalization of the geometric series.  Requires mu inside rho."""
+    generalization of the geometric series.  Requires mu inside rho.
+
+    It is `binomial_determinant(rho, mu)` at M = 0, so it vanishes exactly
+    when rho/mu has a diagonal cell, that is when the Durfee squares differ.
+    """
     mp, rp = as_parts(mu), as_parts(rho)
-    if not Partition(rp).contains(mp):
-        raise ContainmentError(f"{Partition(mp)} does not fit inside {Partition(rp)}")
-    n = len(rp)
-    rows = [[_gbinom(rp[i] - (i + 1), (mp[j] if j < len(mp) else 0) - (j + 1))
-             for j in range(n)] for i in range(n)]
-    return _det_bareiss(rows, 1, lambda a, b: a // b)
+    contents = skew_contents(rp, mp)
+    c_prod = prod(contents)
+    if not c_prod:
+        return 0
+    return c_prod * skew_tableaux(rp, mp) // factorial(len(contents))
 
 
 @cache
@@ -259,11 +208,12 @@ def _reflection_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     coefficient is exact on its own."""
     n = sum(mp)
     prefactor = RationalFunction(rising_factorial(mp)) / content_product(mp) ** 2
+    d_mu = durfee(mp)
     coeffs: dict[int, RationalFunction] = {}
     for m in range(order + 1):
         inner = RationalFunction.constant(SYM_M, 0)
         for rho in enumerate_partitions(m):
-            s = durfee_filtered_lr_sum(mp, rho)
+            s = _durfee_weighted_sum(mp, rho.parts, d_mu)
             if not s:
                 continue
             inner = inner + RationalFunction(
@@ -287,9 +237,7 @@ def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     factorial weight of the shapes of weight k produced by the product
     expansion, exactly as (n+m)! does in the other two regimes.
 
-    Each pair belongs to exactly one power, so rho is visited once.  A rho
-    whose Durfee square differs from mu's is skipped: it contains mu, so its
-    square is at least as large, and a larger one empties every sum below.
+    Each pair belongs to exactly one power, so rho is visited once.
     """
     n = sum(mp)
     mu_part = Partition(mp)
@@ -300,7 +248,7 @@ def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     weights: dict[int, dict[tuple[int, ...], int]] = {}
     for rho_weight in range(n, order + 1):
         for rho in enumerate_partitions(rho_weight):
-            if not rho.contains(mu_part) or durfee(rho) != d_mu:
+            if not rho.contains(mu_part):
                 continue
             g_det = geometric_determinant(mp, rho.parts)
             if not g_det:

@@ -100,12 +100,6 @@ class Partition:
                 cols[j] += 1
         return Partition(cols)
 
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """Yield the (row, column) cells of the Young diagram, 0-based."""
-        for i, p in enumerate(self._parts):
-            for j in range(p):
-                yield i, j
-
     def contains(self, other: PartitionLike) -> bool:
         """Part-wise containment: every row of `other` fits inside this shape."""
         o = as_parts(other)
@@ -177,6 +171,31 @@ def durfee(lam: PartitionLike) -> int:
         if p >= i + 1:
             d = i + 1
     return d
+
+
+def skew_contents(outer: PartitionLike, inner: PartitionLike = ()) -> tuple[int, ...]:
+    """Contents j - i of the cells of outer/inner, row by row (0-based)."""
+    op, ip = as_parts(outer), as_parts(inner)
+    if not Partition(op).contains(ip):
+        raise ContainmentError(f"{Partition(ip)} does not fit inside {Partition(op)}")
+    return tuple(j - i for i, p in enumerate(op)
+                 for j in range(ip[i] if i < len(ip) else 0, p))
+
+
+@cache
+def skew_tableaux(outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
+    """Number of standard tableaux of the skew shape outer/inner, which must
+    be contained: the largest entry sits in a corner of outer outside inner,
+    so the count is the sum over those corners with the corner removed."""
+    if sum(outer) == sum(inner):
+        return 1
+    total = 0
+    for i, p in enumerate(outer):
+        below = outer[i + 1] if i + 1 < len(outer) else 0
+        if p > below and p > (inner[i] if i < len(inner) else 0):
+            smaller = outer[:i] + ((p - 1,) if p > 1 else ()) + outer[i + 1:]
+            total += skew_tableaux(smaller, inner)
+    return total
 
 
 def content_product(lam: PartitionLike) -> int:

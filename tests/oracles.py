@@ -2,15 +2,18 @@
 
 These deliberately avoid the algorithms under test: characters come from the
 alternant (Frobenius) coefficient extraction, Schur polynomials from
-explicit semistandard-tableau enumeration, and Littlewood-Richardson
-coefficients from expanding actual polynomial products in many variables.
+explicit semistandard-tableau enumeration, Littlewood-Richardson
+coefficients from expanding actual polynomial products in many variables,
+and the transform determinant from elimination on the binomial matrix.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from math import factorial
 
 
 def _parity(perm: tuple[int, ...]) -> int:
@@ -123,3 +126,46 @@ def brute_schur_product(mu: tuple[int, ...], rho: tuple[int, ...],
     product = _poly_product(schur_polynomial(mu, nvars),
                             schur_polynomial(rho, nvars))
     return schur_expand(product, nvars)
+
+
+def _binomial(x: int, k: int) -> Fraction:
+    """x(x-1)...(x-k+1)/k! for any integer x; zero when k < 0."""
+    if k < 0:
+        return Fraction(0)
+    num = 1
+    for t in range(k):
+        num *= x - t
+    return Fraction(num, factorial(k))
+
+
+def bareiss_determinant(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by fraction-free (Bareiss) elimination with row pivoting."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    mat = [row[:] for row in rows]
+    sign, prev = 1, Fraction(1)
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
+            if pivot is None:
+                return Fraction(0)
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) / prev
+        prev = mat[k][k]
+    return sign * mat[n - 1][n - 1]
+
+
+def binomial_matrix_determinant(lam: tuple[int, ...], mu: tuple[int, ...],
+                                m: int) -> Fraction:
+    """det binomial(m + lam_i - i, m + mu_j - j) at the integer m (rows
+    1-based), with mu padded by zeros to the length of lam; binomial(x, y)
+    reads as the polynomial in x of degree x - y, and as zero when x < y."""
+    n = len(lam)
+    padded = tuple(mu) + (0,) * (n - len(mu))
+    return bareiss_determinant(
+        [[_binomial(m + lam[i] - (i + 1), lam[i] - i - (padded[j] - j))
+          for j in range(n)] for i in range(n)])

@@ -176,6 +176,18 @@ def test_eval_order_cap(tmp_path, capsys):
     assert "exceeds the configured cap" in err
 
 
+@pytest.mark.xfail(strict=True,
+                   reason="ROADMAP item 1: the inv-m omitted-term estimate "
+                          "evaluates the g-dependent coefficient at M")
+def test_eval_first_omitted_term_inv_m(capsys):
+    # The first omitted term is -g/(1+g)^5 / M^2, 2/243/400 at M=20, g=2.
+    code, out, _ = run_cli(
+        capsys, "eval", "--wigner-moment", "1", "--m-value", "20",
+        "--gamma-value", "2", "--order-inv-m", "0")
+    assert code == 0
+    assert "first omitted term ~ 2.057613e-05" in out
+
+
 @pytest.mark.parametrize("argv", [
     ("--wigner-moment", "1", "--m-value", "20", "--gamma-value", "1e-40",
      "--order-inv-gamma", "10"),

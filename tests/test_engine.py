@@ -30,8 +30,10 @@ from delaymoments.partitions import (
     dimension,
     durfee,
     enumerate_partitions,
+    skew_tableaux,
     subpartitions,
 )
+from oracles import binomial_matrix_determinant
 
 
 def pm(*coeffs):
@@ -85,6 +87,21 @@ class TestDeterminants:
         assert geometric_determinant((1,), (2, 2)) == 0
         with pytest.raises(ContainmentError):
             geometric_determinant((2,), (1, 1))
+
+    def test_closed_forms_match_elimination(self):
+        # Degree |lam/mu| polynomials that agree at |lam/mu| + 1 points agree.
+        for w in range(0, 9):
+            for lam in enumerate_partitions(w):
+                lp = lam.parts
+                assert skew_tableaux(lp, ()) == dimension(lp)
+                for mu in subpartitions(lp):
+                    mp = mu.parts
+                    poly = binomial_determinant(lp, mp)
+                    for m in range(w - mu.weight + 1):
+                        assert poly.evaluate(m) == binomial_matrix_determinant(lp, mp, m)
+                    g_det = geometric_determinant(mp, lp)
+                    assert g_det == binomial_matrix_determinant(lp, mp, 0)
+                    assert (g_det == 0) == (durfee(lp) != durfee(mp))
 
     def test_absorption_weight(self):
         assert absorption_weight(()) == pg(1)
