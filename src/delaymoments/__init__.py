@@ -8,8 +8,9 @@ time-reversal symmetry.
 
 Public API
 ----------
-- :class:`Partition` and the combinatorial primitives in
-  :mod:`delaymoments.partitions`
+- :class:`Partition`, a validated tuple of parts, and the combinatorial
+  primitives in :mod:`delaymoments.partitions`; `enumerate_partitions`
+  returns a cached tuple
 - :class:`Polynomial`, :class:`RationalFunction`, :class:`TruncatedSeries`
 - :func:`reflection_schur_moment`, :func:`delay_schur_moment`
 - :func:`power_sum_moment`, :func:`wigner_moment`, :func:`cumulant`,

@@ -20,12 +20,14 @@ import time
 from fractions import Fraction
 
 from .algebra import (
+    _LATEX_SYMBOL,
     PoleError,
     RationalFunction,
     TruncatedSeries,
     VAR_GAMMA,
     VAR_INV_GAMMA,
     VAR_INV_M,
+    VARIABLE_POWER,
     expansion_value,
 )
 from .partitions import Partition
@@ -40,12 +42,6 @@ SCHEMA_VERSION = 1
 
 _REGIME_TOKENS = {"inv-m": VAR_INV_M, "gamma": VAR_GAMMA, "inv-gamma": VAR_INV_GAMMA}
 _REGIME_NAMES = {v: k for k, v in _REGIME_TOKENS.items()}
-
-_POWER_LABEL = {
-    VAR_INV_M: lambda p: f"(1/M)^{p}",
-    VAR_GAMMA: lambda p: f"g^{p}",
-    VAR_INV_GAMMA: lambda p: f"(1/g)^{p}",
-}
 
 
 class UsageError(Exception):
@@ -198,8 +194,18 @@ def _statistic_title(sreq: StatisticRequest) -> str:
     return "Wigner time delay variance"
 
 
+def _variable_symbol(variable: str) -> tuple[str, int]:
+    """The symbol carrying the expansion variable, and the exponent of that
+    symbol in one power of the variable (+1 or -1)."""
+    return next((s, e) for s, e in VARIABLE_POWER[variable].items() if e)
+
+
+def _text_power(variable: str, p: int) -> str:
+    symbol, e = _variable_symbol(variable)
+    return f"{symbol}^{p}" if e > 0 else f"(1/{symbol})^{p}"
+
+
 def render_text(sreq: StatisticRequest, series: TruncatedSeries) -> str:
-    label = _POWER_LABEL[series.variable]
     lines = [
         f"statistic: {_statistic_title(sreq)}",
         f"regime: {_REGIME_NAMES[series.variable]}   "
@@ -209,22 +215,19 @@ def render_text(sreq: StatisticRequest, series: TruncatedSeries) -> str:
     if not terms:
         lines.append("  (no non-zero coefficients up to the guaranteed order)")
     for p, c in terms:
-        lines.append(f"  {label(p)}: {c}")
+        lines.append(f"  {_text_power(series.variable, p)}: {c}")
     return "\n".join(lines) + "\n"
 
 
 def _latex_power(variable: str, p: int) -> str:
-    if variable == VAR_GAMMA:
-        if p == 0:
-            return ""
-        return r"\gamma" if p == 1 else rf"\gamma^{{{p}}}"
-    symbol = "M" if variable == VAR_INV_M else r"\gamma"
-    if p == 0:
+    symbol, e = _variable_symbol(variable)
+    exponent = e * p
+    if not exponent:
         return ""
-    if p < 0:
-        return symbol if p == -1 else rf"{symbol}^{{{-p}}}"
-    inner = symbol if p == 1 else rf"{symbol}^{{{p}}}"
-    return rf"\frac{{1}}{{{inner}}}"
+    base = _LATEX_SYMBOL[symbol]
+    if abs(exponent) > 1:
+        base = rf"{base}^{{{abs(exponent)}}}"
+    return base if exponent > 0 else rf"\frac{{1}}{{{base}}}"
 
 
 def render_latex(sreq: StatisticRequest, series: TruncatedSeries) -> str:
@@ -242,12 +245,10 @@ def render_latex(sreq: StatisticRequest, series: TruncatedSeries) -> str:
             body = ("-" if negative else "") + piece
         else:
             body += (" - " if negative else " + ") + piece
-    tail_symbol = {VAR_INV_M: "M^{-%d}" % (series.order + 1),
-                   VAR_GAMMA: r"\gamma^{%d}" % (series.order + 1),
-                   VAR_INV_GAMMA: r"\gamma^{-%d}" % (series.order + 1)}[series.variable]
     if not body:
         body = "0"
-    return f"{body} + O({tail_symbol})\n"
+    symbol, e = _variable_symbol(series.variable)
+    return f"{body} + O({_LATEX_SYMBOL[symbol]}^{{{e * (series.order + 1)}}})\n"
 
 
 def _check_order(order: int, config: dict[str, int]) -> None:
@@ -382,6 +383,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    _check_order(args.order, load_config(None))
     results = validate_conjectures(args.n_max, args.order)
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'} {res.key}: {res.description}"
@@ -455,13 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PoleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, PoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

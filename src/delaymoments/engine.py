@@ -35,7 +35,6 @@ from .algebra import (
     operand_order,
 )
 from .partitions import (
-    Partition,
     PartitionLike,
     as_parts,
     character_row,
@@ -174,12 +173,11 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     grouped: dict[int, RationalFunction] = {}
     for m in range(0, 2 * (order + n) + 1):
         for beta in enumerate_partitions(m, forbid_part_one=True):
-            bp = beta.parts
-            ell = len(bp)
+            ell = len(beta)
             exponent = n + m - ell
             if exponent - 2 * n > order:
                 continue
-            row = character_row(bp)
+            row = character_row(beta)
             inner = 0
             for rho, chi in row.items():
                 s = _durfee_weighted_sum(mp, rho, d_mu)
@@ -187,9 +185,9 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
                     inner += chi * s
             if not inner:
                 continue
-            scalar = Fraction((-1) ** ell * class_size(bp) * inner,
+            scalar = Fraction((-1) ** ell * class_size(beta) * inner,
                               factorial(m) * factorial(n + m))
-            coeff = (RationalFunction(absorption_weight(bp))
+            coeff = (RationalFunction(absorption_weight(beta))
                      * inv_one_plus_g ** (n + m) * scalar)
             grouped[exponent] = grouped.get(exponent,
                                             RationalFunction.constant(SYM_G, 0)) + coeff
@@ -213,12 +211,12 @@ def _reflection_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     for m in range(order + 1):
         inner = RationalFunction.constant(SYM_M, 0)
         for rho in enumerate_partitions(m):
-            s = _durfee_weighted_sum(mp, rho.parts, d_mu)
+            s = _durfee_weighted_sum(mp, rho, d_mu)
             if not s:
                 continue
             inner = inner + RationalFunction(
-                Polynomial.constant(SYM_M, dimension(rho.parts) * s),
-                falling_factorial(rho.parts))
+                Polynomial.constant(SYM_M, dimension(rho) * s),
+                falling_factorial(rho))
         if inner.is_zero:
             continue
         m_power = Polynomial(SYM_M, (0,) * m + ((-1) ** m,))
@@ -240,7 +238,6 @@ def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     Each pair belongs to exactly one power, so rho is visited once.
     """
     n = sum(mp)
-    mu_part = Partition(mp)
     prefactor = (RationalFunction(rising_factorial(mp) ** 2)
                  * Fraction((-1) ** n, content_product(mp) ** 2))
     d_mu = durfee(mp)
@@ -248,17 +245,17 @@ def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     weights: dict[int, dict[tuple[int, ...], int]] = {}
     for rho_weight in range(n, order + 1):
         for rho in enumerate_partitions(rho_weight):
-            if not rho.contains(mu_part):
+            if not rho.contains(mp):
                 continue
-            g_det = geometric_determinant(mp, rho.parts)
+            g_det = geometric_determinant(mp, rho)
             if not g_det:
                 continue
             for omega_weight in range(order - rho_weight + 1):
                 row = weights.setdefault(rho_weight + omega_weight, {})
                 for omega in enumerate_partitions(omega_weight):
-                    s = _durfee_weighted_sum(omega.parts, rho.parts, d_mu)
+                    s = _durfee_weighted_sum(omega, rho, d_mu)
                     if s:
-                        row[omega.parts] = row.get(omega.parts, 0) + g_det * s
+                        row[omega] = row.get(omega, 0) + g_det * s
     coeffs: dict[int, RationalFunction] = {}
     for k in sorted(weights):
         acc = Polynomial(SYM_M)
@@ -304,14 +301,14 @@ def _delay_schur_moment(lp: tuple[int, ...], regime: str, order: int) -> Truncat
     for mu in subpartitions(lp):
         inner = reflection_schur_moment(
             mu, regime, operand_order(regime, order, weight - mu.weight, -weight))
-        term = inner.times_m_polynomial(binomial_determinant(lp, mu.parts))
+        term = inner.times_m_polynomial(binomial_determinant(lp, mu))
         total = total + (-term if mu.weight % 2 else term)
     total = total.times_power(SYM_G, -weight)
     if regime == VAR_GAMMA:
         for p in sorted(total.coeffs):
             if p < 0:
                 raise InternalConsistencyError(
-                    f"transform of {Partition(lp)} left a non-zero coefficient "
+                    f"transform of {lp} left a non-zero coefficient "
                     f"at g^{p + weight}; the leading {weight} powers must cancel")
         # The check proves the bound 0; products derive their order from it.
         total = TruncatedSeries(VAR_GAMMA, total.coeffs, total.order, min_power=0)

@@ -4,6 +4,10 @@ Partitions index everything in this package: Schur moments, characters,
 conjugacy classes and Littlewood-Richardson expansions.  All functions are
 pure and return exact integers; the expensive ones (characters, dimensions,
 Schur products) are memoized; the mappings they return are read-only views.
+
+A shape has one representation, `Partition`, a validated tuple of parts.
+Input from outside is validated once, where it enters (`as_parts`); the
+shapes this module generates are built without re-validation.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from collections import Counter, defaultdict
 from functools import cache
 from math import factorial, prod
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class WeightMismatchError(ValueError):
@@ -26,23 +30,26 @@ class ContainmentError(ValueError):
 PartitionLike = "Partition | Iterable[int]"
 
 
-class Partition:
+class Partition(tuple):
     """A non-increasing tuple of positive integers; the empty partition is valid.
 
-    The text form used across the package is comma-separated parts, e.g.
-    "3,1,1"; the empty partition parses from "" or "0" and prints as "0".
+    A Partition is its tuple of parts: it compares and hashes like that
+    tuple.  Construction validates the parts; shapes this module generates
+    itself skip that check (see `_shape`).  The text form used across the
+    package is comma-separated parts, e.g. "3,1,1"; the empty partition
+    parses from "" or "0" and prints as "0".
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         ps = tuple(int(p) for p in parts)
         for a, b in zip(ps, ps[1:]):
             if a < b:
                 raise ValueError(f"parts must be non-increasing: {ps}")
         if ps and ps[-1] <= 0:
             raise ValueError(f"parts must be positive: {ps}")
-        self._parts = ps
+        return super().__new__(cls, ps)
 
     @classmethod
     def parse(cls, text: str) -> Partition:
@@ -53,74 +60,54 @@ class Partition:
 
     @property
     def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return self
 
     @property
     def weight(self) -> int:
-        return sum(self._parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self._parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self._parts[i]
-
-    def __bool__(self) -> bool:
-        return bool(self._parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Partition):
-            return self._parts == other._parts
-        if isinstance(other, tuple):
-            return self._parts == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
+        return len(self)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self._parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self._parts) if self._parts else "0"
+        return ",".join(map(str, self)) if self else "0"
 
     def conjugate(self) -> Partition:
-        if not self._parts:
-            return Partition()
-        cols = [0] * self._parts[0]
-        for p in self._parts:
+        cols = [0] * (self[0] if self else 0)
+        for p in self:
             for j in range(p):
                 cols[j] += 1
-        return Partition(cols)
+        return _shape(cols)
 
     def contains(self, other: PartitionLike) -> bool:
         """Part-wise containment: every row of `other` fits inside this shape."""
-        o = as_parts(other)
-        if len(o) > len(self._parts):
-            return False
-        return all(o[i] <= self._parts[i] for i in range(len(o)))
+        return contains(other, self)
 
 
-def as_parts(p: PartitionLike) -> tuple[int, ...]:
-    if isinstance(p, Partition):
-        return p.parts
-    return Partition(p).parts
+def _shape(parts: Iterable[int]) -> Partition:
+    """A Partition built without validation, for shapes generated here."""
+    return tuple.__new__(Partition, parts)
+
+
+def as_parts(p: PartitionLike) -> Partition:
+    """`p` as a Partition, validated unless it already is one."""
+    return p if isinstance(p, Partition) else Partition(p)
 
 
 def contains(mu: PartitionLike, lam: PartitionLike) -> bool:
     """True iff mu fits inside lam part-wise (missing parts read as 0)."""
-    return Partition(as_parts(lam)).contains(mu)
+    mp, lp = as_parts(mu), as_parts(lam)
+    return len(mp) <= len(lp) and all(a <= b for a, b in zip(mp, lp))
 
 
-def enumerate_partitions(m: int, forbid_part_one: bool = False) -> list[Partition]:
-    """All partitions of weight m in reverse-lexicographic order.
+@cache
+def enumerate_partitions(m: int, forbid_part_one: bool = False) -> tuple[Partition, ...]:
+    """All partitions of weight m in reverse-lexicographic order, as a cached
+    tuple.
 
     With forbid_part_one, only partitions with every part >= 2 are kept
     (one-cycles carry no weight in the large-M sums and are excluded there).
@@ -132,7 +119,7 @@ def enumerate_partitions(m: int, forbid_part_one: bool = False) -> list[Partitio
 
     def descend(remaining: int, max_part: int, prefix: list[int]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(_shape(prefix))
             return
         for k in range(min(remaining, max_part), min_part - 1, -1):
             if remaining - k and remaining - k < min_part:
@@ -142,7 +129,7 @@ def enumerate_partitions(m: int, forbid_part_one: bool = False) -> list[Partitio
             prefix.pop()
 
     descend(m, m, [])
-    return out
+    return tuple(out)
 
 
 def subpartitions(lam: PartitionLike) -> list[Partition]:
@@ -151,16 +138,16 @@ def subpartitions(lam: PartitionLike) -> list[Partition]:
     out: list[Partition] = []
 
     def descend(row: int, bound: int, prefix: list[int]) -> None:
-        out.append(Partition(prefix))
-        if row == len(lp):
-            return
-        for k in range(min(bound, lp[row]), 0, -1):
-            prefix.append(k)
-            descend(row + 1, k, prefix)
-            prefix.pop()
+        # Every extension of a prefix sorts before it, the larger part first.
+        if row < len(lp):
+            for k in range(min(bound, lp[row]), 0, -1):
+                prefix.append(k)
+                descend(row + 1, k, prefix)
+                prefix.pop()
+        out.append(_shape(prefix))
 
     descend(0, lp[0] if lp else 0, [])
-    return sorted(out, key=lambda p: p.parts, reverse=True)
+    return out
 
 
 def durfee(lam: PartitionLike) -> int:
@@ -173,11 +160,12 @@ def durfee(lam: PartitionLike) -> int:
     return d
 
 
-def skew_contents(outer: PartitionLike, inner: PartitionLike = ()) -> tuple[int, ...]:
+def skew_contents(outer: PartitionLike,
+                  inner: PartitionLike = Partition()) -> tuple[int, ...]:
     """Contents j - i of the cells of outer/inner, row by row (0-based)."""
     op, ip = as_parts(outer), as_parts(inner)
-    if not Partition(op).contains(ip):
-        raise ContainmentError(f"{Partition(ip)} does not fit inside {Partition(op)}")
+    if not contains(ip, op):
+        raise ContainmentError(f"{ip} does not fit inside {op}")
     return tuple(j - i for i, p in enumerate(op)
                  for j in range(ip[i] if i < len(ip) else 0, p))
 
@@ -205,12 +193,12 @@ def content_product(lam: PartitionLike) -> int:
 
 
 @cache
-def _dimension(parts: tuple[int, ...]) -> int:
+def _dimension(parts: Partition) -> int:
     n = sum(parts)
     if n == 0:
         return 1
     hooks = 1
-    conj = Partition(parts).conjugate().parts
+    conj = parts.conjugate()
     for i, p in enumerate(parts):
         for j in range(p):
             hooks *= (p - j) + (conj[j] - i) - 1
@@ -233,13 +221,13 @@ def class_size(beta: PartitionLike) -> int:
     return factorial(sum(bp)) // z
 
 
-def _parts_from_betas(betas: list[int], length: int) -> tuple[int, ...]:
+def _parts_from_betas(betas: list[int], length: int) -> Partition:
     """Recover a partition from a descending beta-set of the given length."""
     parts = [betas[j] - (length - 1 - j) for j in range(length)]
-    return tuple(p for p in parts if p > 0)
+    return _shape(p for p in parts if p > 0)
 
 
-def _strip_additions(parts: tuple[int, ...], k: int) -> list[tuple[tuple[int, ...], int]]:
+def _strip_additions(parts: tuple[int, ...], k: int) -> list[tuple[Partition, int]]:
     """All ways to add a border strip of size k; yields (shape, height)."""
     length = len(parts) + k
     padded = list(parts) + [0] * (length - len(parts))
@@ -271,7 +259,7 @@ def character(mu: PartitionLike, beta: PartitionLike) -> int:
 
 
 @cache
-def character_row(beta: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
+def character_row(beta: tuple[int, ...]) -> Mapping[Partition, int]:
     """Characters of every irreducible at cycle type beta, as one mapping.
 
     Expands the power-sum product for the cycle type in the Schur basis by
@@ -279,9 +267,9 @@ def character_row(beta: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
     with a zero character are omitted.  The result is a read-only view of
     the cached dict.
     """
-    row: dict[tuple[int, ...], int] = {(): 1}
+    row: dict[Partition, int] = {_shape(()): 1}
     for k in beta:
-        nxt: dict[tuple[int, ...], int] = defaultdict(int)
+        nxt: dict[Partition, int] = defaultdict(int)
         for shape, coef in row.items():
             for grown, height in _strip_additions(shape, k):
                 nxt[grown] += coef * (-1) ** height
@@ -290,7 +278,7 @@ def character_row(beta: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
 
 
 def _lr_expand(base: tuple[int, ...], content: tuple[int, ...],
-               max_durfee: int | None = None) -> dict[tuple[int, ...], int]:
+               max_durfee: int | None = None) -> dict[Partition, int]:
     """Expand the Schur product s_base * s_content as {shape: multiplicity}.
 
     Counts column-strict strip sequences on top of `base` with the given
@@ -300,17 +288,17 @@ def _lr_expand(base: tuple[int, ...], content: tuple[int, ...],
     cells a branch past the cap can never come back into range.  `base`
     itself must lie within the bound.
     """
-    out: dict[tuple[int, ...], int] = defaultdict(int)
+    out: dict[Partition, int] = defaultdict(int)
     nvals = len(content)
     if nvals == 0:
-        return {base: 1}
+        return {_shape(base): 1}
     maxrows = len(base) + nvals
     start = list(base) + [0] * (maxrows - len(base))
     capped_row = max_durfee + 1 if max_durfee is not None else 0
 
     def fill_value(v: int, shape: list[int], prev_prefix: list[int] | None) -> None:
         if v > nvals:
-            out[tuple(x for x in shape if x)] += 1
+            out[_shape(x for x in shape if x)] += 1
             return
         need = content[v - 1]
         baseline = shape[:]
@@ -351,7 +339,7 @@ def _lr_expand(base: tuple[int, ...], content: tuple[int, ...],
 
 @cache
 def schur_product(a: tuple[int, ...], b: tuple[int, ...],
-                  max_durfee: int | None = None) -> Mapping[tuple[int, ...], int]:
+                  max_durfee: int | None = None) -> Mapping[Partition, int]:
     """Littlewood-Richardson expansion of s_a * s_b, keyed by result shape.
 
     The smaller-weight factor is inserted into the larger one.  With

@@ -31,6 +31,45 @@ def run_cold(*argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+SERIES_TEXT = {
+    "--schur 2 --regime inv-m --order 2": (
+        "statistic: Schur moment, shape 2\n"
+        "regime: inv-m   guaranteed order: 2   coefficients in: g\n"
+        "  (1/M)^-2: 1/2(1+g)^2\n"
+        "  (1/M)^-1: (g^2+2g+2)/2(1+g)^4\n"
+        "  (1/M)^0: (g^2-2g+2)/2(1+g)^6\n"
+        "  (1/M)^1: (-4g^3+g^2-14g+2)/2(1+g)^8\n"
+        "  (1/M)^2: (8g^4-44g^3+93g^2-42g+2)/2(1+g)^10\n"),
+    "--wigner-moment 1 --regime gamma --order 2": (
+        "statistic: Wigner time delay moment, n=1\n"
+        "regime: gamma   guaranteed order: 2   coefficients in: M\n"
+        "  g^0: 1\n"
+        "  g^1: -M^2/(M^2-1)\n"
+        "  g^2: M^4/(M^2-1)(M^2-4)\n"),
+    "--wigner-moment 1 --regime inv-gamma --order 3": (
+        "statistic: Wigner time delay moment, n=1\n"
+        "regime: inv-gamma   guaranteed order: 3   coefficients in: M\n"
+        "  (1/g)^1: 1\n"
+        "  (1/g)^2: -1\n"
+        "  (1/g)^3: 1\n"),
+}
+
+SERIES_LATEX = {
+    "--schur 2 --regime inv-m --order 2": (
+        r"\frac{1}{2(1+\gamma)^{2}}\,M^{2} + \frac{\gamma^{2}+2\gamma+2}"
+        r"{2(1+\gamma)^{4}}\,M + \frac{\gamma^{2}-2\gamma+2}{2(1+\gamma)^{6}}"
+        r" + \frac{-4\gamma^{3}+\gamma^{2}-14\gamma+2}{2(1+\gamma)^{8}}\,"
+        r"\frac{1}{M} + \frac{8\gamma^{4}-44\gamma^{3}+93\gamma^{2}-42\gamma"
+        r"+2}{2(1+\gamma)^{10}}\,\frac{1}{M^{2}} + O(M^{-3})"),
+    "--wigner-moment 1 --regime gamma --order 2": (
+        r"1 - \frac{M^{2}}{M^{2}-1}\,\gamma + \frac{M^{4}}{(M^{2}-1)"
+        r"(M^{2}-4)}\,\gamma^{2} + O(\gamma^{3})"),
+    "--wigner-moment 1 --regime inv-gamma --order 3": (
+        r"\frac{1}{\gamma} - \frac{1}{\gamma^{2}} + \frac{1}{\gamma^{3}}"
+        r" + O(\gamma^{-4})"),
+}
+
+
 def test_series_text_output(capsys):
     code, out, err = run_cli(
         capsys, "series", "--cumulant", "2", "--regime", "inv-m", "--order", "4")
@@ -38,6 +77,10 @@ def test_series_text_output(capsys):
     assert "(g^2+2)/(1+g)^6" in out
     assert "(8g^4-28g^3+68g^2-40g+2)/(1+g)^10" in out
     assert "# computed in" in err
+    # One request per regime, powers below, at and above 0 included.
+    for argv, want in SERIES_TEXT.items():
+        code, out, _ = run_cli(capsys, "series", *argv.split())
+        assert (code, out) == (0, want)
 
 
 def test_series_deterministic_stdout(capsys):
@@ -73,6 +116,9 @@ def test_series_latex(capsys):
     assert code == 0
     assert out == (r"\frac{1}{1+\gamma} - \frac{\gamma}{(1+\gamma)^{5}}\,"
                    r"\frac{1}{M^{2}} + O(M^{-3})" + "\n")
+    for argv, want in SERIES_LATEX.items():
+        code, out, _ = run_cli(capsys, "series", *argv.split(), "--format", "latex")
+        assert (code, out) == (0, want + "\n")
 
 
 def test_series_schur_identity_moment(capsys):
@@ -243,3 +289,10 @@ def test_conjecture_command(capsys):
     assert "PASS a.n=1" in out
     payload = json.loads(out[out.index("{"):])
     assert payload["all_passed"] is True
+
+
+def test_conjecture_rejects_negative_order(capsys):
+    code, out, err = run_cli(capsys, "conjecture", "--n-max", "2", "--order", "-3")
+    assert code == 2
+    assert err == "error: order must be non-negative\n"
+    assert out == ""

@@ -17,8 +17,10 @@ from delaymoments.partitions import (
     enumerate_partitions,
     lr_coefficient,
     schur_product,
+    skew_contents,
     subpartitions,
 )
+from delaymoments.engine import delay_schur_moment
 
 from oracles import frobenius_character
 
@@ -83,6 +85,36 @@ def test_contains():
     assert contains((2, 1), (2, 2))
     assert not contains((3,), (2, 2))
     assert not contains((2, 2, 1), (2, 2))
+
+
+def test_partition_boundary():
+    # Outside input is validated where it enters, with the same messages.
+    entry_points = (durfee, dimension, lambda p: contains(p, (3,)),
+                    lambda p: contains((), p), skew_contents,
+                    lambda p: skew_contents((3, 3), p),
+                    lambda p: delay_schur_moment(p, "gamma", 1))
+    for bad, message in (((1, 2), "parts must be non-increasing: (1, 2)"),
+                         ([0], "parts must be positive: (0,)")):
+        for entry in entry_points:
+            with pytest.raises(ValueError) as exc:
+                entry(bad)
+            assert str(exc.value) == message
+    # Generated shapes are Partitions that equal and hash as their tuples.
+    shapes = [*enumerate_partitions(4), *enumerate_partitions(0),
+              *subpartitions((2, 1)), *schur_product((2, 1), (1,)),
+              *schur_product((2, 1), ()), *character_row((2, 1)),
+              *character_row(())]
+    for shape in shapes:
+        assert type(shape) is Partition
+        parts = tuple(shape)
+        assert shape == parts and hash(shape) == hash(parts)
+        assert Partition(parts) == shape and shape.parts == parts
+    # The cached enumeration cannot be mutated by callers.
+    assert type(enumerate_partitions(4)) is tuple
+    assert enumerate_partitions(4) is enumerate_partitions(4)
+    p = Partition((3, 1, 1))
+    assert repr(p) == "Partition([3, 1, 1])" and p.conjugate() == (3, 1, 1)
+    assert p.contains((2, 1)) and not p.contains((1, 1, 1, 1))
 
 
 def test_subpartitions_of_21():
