@@ -31,13 +31,11 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
-    laurent_expand_inverse_power,
     operand_order,
 )
 from .partitions import (
     PartitionLike,
     as_parts,
-    character_row,
     class_size,
     content_product,
     dimension,
@@ -46,6 +44,7 @@ from .partitions import (
     schur_product,
     skew_contents,
     skew_tableaux,
+    strip_expansion,
     subpartitions,
 )
 
@@ -113,15 +112,9 @@ def _dim_content_weight(parts: tuple[int, ...]) -> int:
 
 @cache
 def _durfee_weighted_sum(a: tuple[int, ...], b: tuple[int, ...], target: int) -> int:
-    """Sum of dimension * content_product**2 over the Schur product of
-    s_a * s_b, restricted to results whose Durfee square has side `target`.
-
-    Only shapes inside the Durfee bound are expanded, and none at all when
-    a factor's Durfee square already exceeds `target`: both factors sit
-    inside every shape of the product.
-    """
-    if durfee(a) > target or durfee(b) > target:
-        return 0
+    """Sum of dimension * content_product**2 over the Durfee-bounded Schur
+    product s_a * s_b, restricted to results whose Durfee square has side
+    `target`."""
     total = 0
     for nu, mult in schur_product(a, b, target).items():
         if durfee(nu) == target:
@@ -130,8 +123,8 @@ def _durfee_weighted_sum(a: tuple[int, ...], b: tuple[int, ...], target: int) ->
 
 
 def durfee_filtered_lr_sum(mu: PartitionLike, rho: PartitionLike) -> int:
-    """The nested sum shared by all three expansions: over shapes nu in
-    s_mu * s_rho with the same Durfee square as mu, weighted by
+    """The nested sum of the gamma and inv-gamma expansions: over shapes nu
+    in s_mu * s_rho with the same Durfee square as mu, weighted by
     dimension(nu) * content_product(nu)**2."""
     mp, rp = as_parts(mu), as_parts(rho)
     return _durfee_weighted_sum(mp, rp, durfee(mp))
@@ -159,11 +152,13 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     |mu| + m - length(beta) a coefficient rational in g with denominator a
     power of (1+g).
 
+    Each coefficient sums dimension * content_product**2 over the strip
+    expansion of s_mu * p_beta bounded at mu's Durfee square; strips only add
+    cells, so every kept shape has exactly that square.
     Cycle types without fixed points satisfy length <= m/2, so weights
     m <= 2*(order + |mu|) exhaust every term that can touch powers <= order.
     """
     n = sum(mp)
-    prefactor = rising_factorial(mp) ** 2
     t_sq = content_product(mp) ** 2
     inv_one_plus_g = RationalFunction(Polynomial.constant(SYM_G, 1),
                                       Polynomial(SYM_G, (1, 1)))
@@ -177,26 +172,19 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
             exponent = n + m - ell
             if exponent - 2 * n > order:
                 continue
-            row = character_row(beta)
-            inner = 0
-            for rho, chi in row.items():
-                s = _durfee_weighted_sum(mp, rho, d_mu)
-                if s:
-                    inner += chi * s
+            inner = sum(c * _dim_content_weight(nu)
+                        for nu, c in strip_expansion(mp, beta, d_mu).items())
             if not inner:
                 continue
             scalar = Fraction((-1) ** ell * class_size(beta) * inner,
-                              factorial(m) * factorial(n + m))
+                              factorial(m) * factorial(n + m) * t_sq)
             coeff = (RationalFunction(absorption_weight(beta))
                      * inv_one_plus_g ** (n + m) * scalar)
             grouped[exponent] = grouped.get(exponent,
                                             RationalFunction.constant(SYM_G, 0)) + coeff
 
-    total = TruncatedSeries.zero(VAR_INV_M, order)
-    for exponent, coeff in grouped.items():
-        base = laurent_expand_inverse_power(prefactor, exponent, order)
-        total = total + base.scale(coeff / t_sq)
-    return total
+    bare = TruncatedSeries(VAR_INV_M, grouped, order + 2 * n)
+    return bare.times_m_polynomial(rising_factorial(mp) ** 2)
 
 
 @cache

@@ -171,17 +171,18 @@ def skew_contents(outer: PartitionLike,
 
 
 @cache
-def skew_tableaux(outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
+def skew_tableaux(outer: PartitionLike, inner: PartitionLike) -> int:
     """Number of standard tableaux of the skew shape outer/inner, which must
     be contained: the largest entry sits in a corner of outer outside inner,
     so the count is the sum over those corners with the corner removed."""
+    outer, inner = as_parts(outer), as_parts(inner)
     if sum(outer) == sum(inner):
         return 1
     total = 0
     for i, p in enumerate(outer):
         below = outer[i + 1] if i + 1 < len(outer) else 0
         if p > below and p > (inner[i] if i < len(inner) else 0):
-            smaller = outer[:i] + ((p - 1,) if p > 1 else ()) + outer[i + 1:]
+            smaller = _shape(outer[:i] + ((p - 1,) if p > 1 else ()) + outer[i + 1:])
             total += skew_tableaux(smaller, inner)
     return total
 
@@ -259,22 +260,31 @@ def character(mu: PartitionLike, beta: PartitionLike) -> int:
 
 
 @cache
-def character_row(beta: tuple[int, ...]) -> Mapping[Partition, int]:
-    """Characters of every irreducible at cycle type beta, as one mapping.
+def character_row(beta: PartitionLike) -> Mapping[Partition, int]:
+    """Characters of every irreducible at cycle type beta, as one mapping:
+    the strip expansion of the power-sum product for beta started at the
+    empty shape.  The result is a read-only view of the cached dict."""
+    return MappingProxyType(strip_expansion(_shape(()), beta))
 
-    Expands the power-sum product for the cycle type in the Schur basis by
-    iterated border-strip addition (the Murnaghan-Nakayama rule); shapes
-    with a zero character are omitted.  The result is a read-only view of
-    the cached dict.
-    """
-    row: dict[Partition, int] = {_shape(()): 1}
-    for k in beta:
+
+def strip_expansion(mu: PartitionLike, beta: PartitionLike,
+                    max_durfee: int | None = None) -> dict[Partition, int]:
+    """Expand s_mu * p_beta in the Schur basis as {shape: non-zero coefficient}
+    by adding one border strip per part of beta (the Murnaghan-Nakayama rule).
+    With `max_durfee` = d only shapes whose Durfee square has side at most d
+    are kept: strips only add cells, so a pruned shape never comes back."""
+    mp, bp = as_parts(mu), as_parts(beta)
+    # Unbounded: no shape of the product has more rows than this.
+    d = len(mp) + sum(bp) if max_durfee is None else max_durfee
+    row: dict[Partition, int] = {mp: 1} if durfee(mp) <= d else {}
+    for k in bp:
         nxt: dict[Partition, int] = defaultdict(int)
         for shape, coef in row.items():
             for grown, height in _strip_additions(shape, k):
-                nxt[grown] += coef * (-1) ** height
+                if len(grown) <= d or grown[d] <= d:
+                    nxt[grown] += coef * (-1) ** height
         row = {s: c for s, c in nxt.items() if c}
-    return MappingProxyType(row)
+    return row
 
 
 def _lr_expand(base: tuple[int, ...], content: tuple[int, ...],
@@ -338,7 +348,7 @@ def _lr_expand(base: tuple[int, ...], content: tuple[int, ...],
 
 
 @cache
-def schur_product(a: tuple[int, ...], b: tuple[int, ...],
+def schur_product(a: PartitionLike, b: PartitionLike,
                   max_durfee: int | None = None) -> Mapping[Partition, int]:
     """Littlewood-Richardson expansion of s_a * s_b, keyed by result shape.
 
@@ -347,6 +357,7 @@ def schur_product(a: tuple[int, ...], b: tuple[int, ...],
     square has side at most d; by default it is complete.  The result is a
     read-only view of the cached dict.
     """
+    a, b = as_parts(a), as_parts(b)
     if (sum(a), a) >= (sum(b), b):
         base, content = a, b
     else:

@@ -296,13 +296,14 @@ def conjecture_checks(max_n: int, order: int = 0) -> list[Check]:
     """
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    extra = max(order, 0)
+    if order < 0:
+        raise ValueError("order must be non-negative")
     checks: list[Check] = []
 
     def add(key: str, description: str, run: Callable[[int, int], tuple[bool, str]],
             n: int) -> None:
         checks.append(Check(key, "conjectures", False, description,
-                            partial(run, n, extra)))
+                            partial(run, n, order)))
 
     ns = range(1, max_n + 1)
     # (a) Large-M pattern for the n-th power of the normalized total delay.

@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, defaultdict
 from math import comb, factorial
 
 import pytest
@@ -18,11 +18,13 @@ from delaymoments.partitions import (
     lr_coefficient,
     schur_product,
     skew_contents,
+    skew_tableaux,
+    strip_expansion,
     subpartitions,
 )
 from delaymoments.engine import delay_schur_moment
 
-from oracles import frobenius_character
+from oracles import brute_schur_product, frobenius_character
 
 
 @st.composite
@@ -117,6 +119,21 @@ def test_partition_boundary():
     assert p.contains((2, 1)) and not p.contains((1, 1, 1, 1))
 
 
+def test_cached_products_validate_raw_tuples():
+    # The cached entry points see outside input too; a non-partition is
+    # refused on the cache miss instead of being expanded.
+    message = "parts must be non-increasing: (1, 2)"
+    for entry in (lambda: schur_product((1, 2), (1,)),
+                  lambda: schur_product((1,), (1, 2), 1),
+                  lambda: character_row((1, 2)),
+                  lambda: skew_tableaux((1, 2), ()),
+                  lambda: skew_tableaux((2, 2), (1, 2)),
+                  lambda: strip_expansion((1, 2), (1,))):
+        with pytest.raises(ValueError) as exc:
+            entry()
+        assert str(exc.value) == message
+
+
 def test_subpartitions_of_21():
     subs = [p.parts for p in subpartitions((2, 1))]
     assert subs == [(2, 1), (2,), (1, 1), (1,), ()]
@@ -185,6 +202,29 @@ def test_character_orthogonality(m):
                         * chis[beta].get(nu, 0)
                         for beta in chis)
             assert total == (factorial(m) if mu == nu else 0)
+
+
+def test_strip_expansion_against_oracles():
+    # s_mu * p_beta = sum over rho of chi^rho(beta) * s_mu * s_rho, with the
+    # characters from the alternant and the products from polynomials.
+    nvars = 6
+    for total in range(0, 7):
+        for mu_weight in range(0, total + 1):
+            for mu in enumerate_partitions(mu_weight):
+                for beta in enumerate_partitions(total - mu_weight):
+                    want: dict[tuple[int, ...], int] = defaultdict(int)
+                    for rho in enumerate_partitions(total - mu_weight):
+                        chi = frobenius_character(rho.parts, beta.parts)
+                        for nu, c in brute_schur_product(
+                                mu.parts, rho.parts, nvars).items():
+                            want[nu] += chi * c
+                    full = strip_expansion(mu, beta)
+                    assert full == {nu: c for nu, c in want.items() if c}, (mu, beta)
+                    # The Durfee-bounded expansion is the full one restricted
+                    # to the bound, also below mu's own Durfee square.
+                    for d in range(0, 4):
+                        assert strip_expansion(mu, beta, d) == {
+                            nu: c for nu, c in full.items() if durfee(nu) <= d}
 
 
 def test_lr_coefficient_examples():

@@ -115,6 +115,14 @@ def test_validate_conjectures_small():
     assert len(ids) == len(set(ids)) == 11
 
 
+def test_conjectures_reject_negative_order():
+    # Refused with RegimeRequest's message instead of running at order 0.
+    for order in (-1, -3):
+        with pytest.raises(ValueError) as exc:
+            validate_conjectures(2, order)
+        assert str(exc.value) == "order must be non-negative"
+
+
 def test_registering_conjecture_checks_computes_nothing():
     from delaymoments.reference import all_checks
 
