@@ -529,8 +529,11 @@ class RationalFunction:
     Sums take the larger multiplicity per root and the lcm of the contents,
     products add multiplicities; reduction is synthetic division at the
     listed roots plus one integer gcd.  The Euclidean `polynomial_gcd` runs
-    only when R is non-trivial.  `num` (scaled) and `den` (monic) are
-    derived views.  Instances are immutable.
+    only when R is non-trivial.  The absorption coefficients, sums of terms
+    whose roots are cell contents, are built once over those known roots
+    by `from_root_terms`: no root search, one reduction per coefficient.
+    `num` (scaled) and `den` (monic) are derived views.  Instances are
+    immutable.
     """
 
     __slots__ = ("_num", "_content", "_roots", "_residual", "_symbol")
@@ -570,6 +573,56 @@ class RationalFunction:
         if not v:
             return _new(symbol, (), 1, (), _ONE)
         return _new(symbol, (v.numerator,), v.denominator, (), _ONE)
+
+    @classmethod
+    def from_root_terms(cls, symbol: str, terms: Iterable[tuple], scale=1,
+                        num_roots: Iterable[int] = (),
+                        den_roots: Iterable[int] = ()) -> RationalFunction:
+        """scale * prod (x - a) / prod (x - b) over num_roots a and den_roots
+        b, times the sum of w * prod (x - a_t) / prod (x - b_t) over the
+        terms (w, a_t, b_t); w are exact scalars and every root list is of
+        integers, repeated by multiplicity.
+
+        The terms go over one common denominator (per root the largest
+        multiplicity among the terms, and the lcm of the scalar
+        denominators), their integer numerators are added, and the sum is
+        reduced once.  Every root is known, so no root search runs."""
+        parts = []
+        common: dict[int, int] = {}
+        for w, tops, bottoms in terms:
+            w = _as_fraction(w)
+            if not w:
+                continue
+            bottom: dict[int, int] = {}
+            for r in bottoms:
+                bottom[r] = m = bottom.get(r, 0) + 1
+                if m > common.get(r, 0):
+                    common[r] = m
+            parts.append((w, tops, bottom))
+        content = lcm(1, *(w.denominator for w, _, _ in parts))
+        num: tuple[int, ...] = ()
+        for w, tops, bottom in parts:
+            term = (w.numerator * (content // w.denominator),)
+            for a in tops:
+                term = _times_root(term, a, 1)
+            for r, m in common.items():
+                term = _times_root(term, r, m - bottom.get(r, 0))
+            num = _iadd(num, term)
+        scale = _as_fraction(scale)
+        if not num or not scale:
+            return cls.constant(symbol, 0)
+        num = tuple(c * scale.numerator for c in num)
+        roots = dict(common)
+        for b in den_roots:
+            roots[b] = roots.get(b, 0) + 1
+        for a in num_roots:
+            if roots.get(a):
+                roots[a] -= 1
+            else:
+                num = _times_root(num, a, 1)
+        return _new(symbol, *_canonical(
+            num, content * scale.denominator,
+            sorted((r, m) for r, m in roots.items() if m), _ONE, symbol))
 
     @property
     def symbol(self) -> str:

@@ -191,25 +191,24 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
 def _reflection_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     """Weak-absorption expansion: coefficient of g**m sums dimension over
     generalized falling factorial across partitions rho of m, so every
-    coefficient is exact on its own."""
+    coefficient is exact on its own.
+
+    The rho sum goes over one denominator of known roots, the cell contents
+    of the rho, together with the prefactor rising_factorial(mu) * M**m."""
     n = sum(mp)
-    prefactor = RationalFunction(rising_factorial(mp)) / content_product(mp) ** 2
+    rising_roots = [-c for c in skew_contents(mp)]
+    t_sq = content_product(mp) ** 2
     d_mu = durfee(mp)
     coeffs: dict[int, RationalFunction] = {}
     for m in range(order + 1):
-        inner = RationalFunction.constant(SYM_M, 0)
+        terms = []
         for rho in enumerate_partitions(m):
             s = _durfee_weighted_sum(mp, rho, d_mu)
-            if not s:
-                continue
-            inner = inner + RationalFunction(
-                Polynomial.constant(SYM_M, dimension(rho) * s),
-                falling_factorial(rho))
-        if inner.is_zero:
-            continue
-        m_power = Polynomial(SYM_M, (0,) * m + ((-1) ** m,))
-        scalar = Fraction(1, factorial(m) * factorial(n + m))
-        coeffs[m] = prefactor * inner * RationalFunction(m_power) * scalar
+            if s:
+                terms.append((dimension(rho) * s, (), skew_contents(rho)))
+        coeffs[m] = RationalFunction.from_root_terms(
+            SYM_M, terms, Fraction((-1) ** m, t_sq * factorial(m) * factorial(n + m)),
+            num_roots=rising_roots + [0] * m)
     return TruncatedSeries(VAR_GAMMA, coeffs, order, min_power=0)
 
 
@@ -223,11 +222,13 @@ def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     factorial weight of the shapes of weight k produced by the product
     expansion, exactly as (n+m)! does in the other two regimes.
 
-    Each pair belongs to exactly one power, so rho is visited once.
+    Each pair belongs to exactly one power, so rho is visited once.  Each
+    power is then one sum over known roots: the rising factorials of the
+    omega and rising_factorial(mu)**2 over M**k.
     """
     n = sum(mp)
-    prefactor = (RationalFunction(rising_factorial(mp) ** 2)
-                 * Fraction((-1) ** n, content_product(mp) ** 2))
+    rising_roots = [-c for c in skew_contents(mp)]
+    t_sq = content_product(mp) ** 2
     d_mu = durfee(mp)
     # weights[k][omega]: integer sum of g_det * s over the rho of weight k - |omega|.
     weights: dict[int, dict[tuple[int, ...], int]] = {}
@@ -246,15 +247,12 @@ def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
                         row[omega] = row.get(omega, 0) + g_det * s
     coeffs: dict[int, RationalFunction] = {}
     for k in sorted(weights):
-        acc = Polynomial(SYM_M)
-        for omega, w in weights[k].items():
-            if w:
-                acc = acc + rising_factorial(omega) * Fraction(
-                    dimension(omega) * w, factorial(sum(omega)))
-        if acc.is_zero:
-            continue
-        m_power = Polynomial(SYM_M, (0,) * k + (Fraction((-1) ** k * factorial(k)),))
-        coeffs[k] = prefactor * RationalFunction(acc, m_power)
+        terms = [(Fraction(dimension(omega) * w, factorial(sum(omega))),
+                  [-c for c in skew_contents(omega)], ())
+                 for omega, w in weights[k].items()]
+        coeffs[k] = RationalFunction.from_root_terms(
+            SYM_M, terms, Fraction((-1) ** (n + k), t_sq * factorial(k)),
+            num_roots=rising_roots * 2, den_roots=[0] * k)
     return TruncatedSeries(VAR_INV_GAMMA, coeffs, order,
                            min_power=min(n, order + 1))
 

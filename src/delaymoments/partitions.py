@@ -13,7 +13,7 @@ shapes this module generates are built without re-validation.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import cache
+from functools import cache, wraps
 from math import factorial, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -98,6 +98,23 @@ def as_parts(p: PartitionLike) -> Partition:
     return p if isinstance(p, Partition) else Partition(p)
 
 
+def _cache_by_shape(shapes: int):
+    """`functools.cache` for a function whose first `shapes` arguments are
+    partitions: they are validated with `as_parts` before the lookup, so a
+    list is accepted and a non-partition never reaches the cache.  The
+    wrapper keeps `cache_info` and `cache_clear`."""
+    def decorate(fn):
+        cached = cache(fn)
+
+        @wraps(fn)
+        def lookup(*args, **kwargs):
+            return cached(*map(as_parts, args[:shapes]), *args[shapes:], **kwargs)
+
+        lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+        return lookup
+    return decorate
+
+
 def contains(mu: PartitionLike, lam: PartitionLike) -> bool:
     """True iff mu fits inside lam part-wise (missing parts read as 0)."""
     mp, lp = as_parts(mu), as_parts(lam)
@@ -170,12 +187,11 @@ def skew_contents(outer: PartitionLike,
                  for j in range(ip[i] if i < len(ip) else 0, p))
 
 
-@cache
+@_cache_by_shape(2)
 def skew_tableaux(outer: PartitionLike, inner: PartitionLike) -> int:
     """Number of standard tableaux of the skew shape outer/inner, which must
     be contained: the largest entry sits in a corner of outer outside inner,
     so the count is the sum over those corners with the corner removed."""
-    outer, inner = as_parts(outer), as_parts(inner)
     if sum(outer) == sum(inner):
         return 1
     total = 0
@@ -259,7 +275,7 @@ def character(mu: PartitionLike, beta: PartitionLike) -> int:
     return _character(mp, bp)
 
 
-@cache
+@_cache_by_shape(1)
 def character_row(beta: PartitionLike) -> Mapping[Partition, int]:
     """Characters of every irreducible at cycle type beta, as one mapping:
     the strip expansion of the power-sum product for beta started at the
@@ -347,7 +363,7 @@ def _lr_expand(base: tuple[int, ...], content: tuple[int, ...],
     return dict(out)
 
 
-@cache
+@_cache_by_shape(2)
 def schur_product(a: PartitionLike, b: PartitionLike,
                   max_durfee: int | None = None) -> Mapping[Partition, int]:
     """Littlewood-Richardson expansion of s_a * s_b, keyed by result shape.
@@ -357,7 +373,6 @@ def schur_product(a: PartitionLike, b: PartitionLike,
     square has side at most d; by default it is complete.  The result is a
     read-only view of the cached dict.
     """
-    a, b = as_parts(a), as_parts(b)
     if (sum(a), a) >= (sum(b), b):
         base, content = a, b
     else:

@@ -100,3 +100,43 @@ def test_canonical_form_is_route_independent(x, y):
         assert other.integer_form() == a.integer_form()
         assert str(other) == str(a) and other.latex() == a.latex()
         assert hash(other) == hash(a)
+
+
+roots = root_factors.map(lambda factors: [r for r, k in factors for _ in range(k)])
+weights = st.one_of(st.integers(-4, 4), fractions)
+root_terms = st.lists(st.tuples(weights, roots, roots), max_size=4)
+
+
+def root_product(rs):
+    out = sympy.Integer(1)
+    for r in rs:
+        out *= M - r
+    return out
+
+
+def rational(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+@given(terms=root_terms, scale=st.one_of(st.integers(-3, 3), scales),
+       num_roots=roots, den_roots=roots)
+@settings(max_examples=40, deadline=None)
+def test_root_terms_sum_once(terms, scale, num_roots, den_roots):
+    # The one-shot sum over known roots equals sympy's reduced form and has
+    # the fields of the same value built and summed term by term.
+    ours = RationalFunction.from_root_terms("M", terms, scale, num_roots, den_roots)
+    assert_matches(ours, rational(scale) * root_product(num_roots) / root_product(den_roots)
+                   * sum(rational(w) * root_product(a) / root_product(b) for w, a, b in terms))
+
+    def public(w, a, b):
+        return RationalFunction(Polynomial.from_roots("M", a) * w,
+                                Polynomial.from_roots("M", b))
+
+    by_terms = RationalFunction.constant("M", 0)
+    for w, a, b in terms:
+        by_terms = by_terms + public(w, a, b)
+    by_terms = by_terms * public(scale, num_roots, den_roots)
+    assert ours == by_terms
+    assert ours.integer_form() == by_terms.integer_form()
+    assert str(ours) == str(by_terms) and ours.latex() == by_terms.latex()

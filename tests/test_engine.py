@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
@@ -33,7 +34,7 @@ from delaymoments.partitions import (
     skew_tableaux,
     subpartitions,
 )
-from oracles import binomial_matrix_determinant
+from oracles import binomial_matrix_determinant, brute_schur_product
 
 
 def pm(*coeffs):
@@ -264,3 +265,131 @@ class TestDelayMoments:
                 assert den.degree == 0, f"unexpected factor {den}"
         print(f"residual absorption poles in reduced denominators: "
               f"{observed_pole}")
+
+
+# An oracle for the absorption coefficients that shares no code with the
+# engine: shapes, hook lengths, contents and Durfee squares are computed
+# here, LR coefficients come from expanding actual polynomial products and
+# the geometric determinants from elimination on the binomial matrix.
+
+def _shapes(weight, largest=None):
+    """All partitions of `weight` with parts at most `largest`."""
+    if weight == 0:
+        yield ()
+        return
+    for first in range(min(weight, largest or weight), 0, -1):
+        for rest in _shapes(weight - first, first):
+            yield (first,) + rest
+
+
+def _cells(shape):
+    return [(i, j) for i, row in enumerate(shape) for j in range(row)]
+
+
+def _hook_dimension(shape):
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0)]
+    hooks = 1
+    for i, j in _cells(shape):
+        hooks *= shape[i] - j + columns[j] - i - 1
+    return factorial(sum(shape)) // hooks
+
+
+def _side(shape):
+    return sum(1 for i, row in enumerate(shape) if row > i)
+
+
+def _contained(inner, outer):
+    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
+
+
+@cache
+def _nu_sum(a, b, side):
+    """Sum of dim(nu) * (product of non-zero contents of nu)**2 over s_a * s_b
+    (with multiplicity), restricted to nu with the given Durfee side."""
+    total = 0
+    for nu, c in brute_schur_product(a, b, max(len(a) + len(b), 1)).items():
+        if _side(nu) == side:
+            t = 1
+            for i, j in _cells(nu):
+                t *= (j - i) or 1
+            total += c * _hook_dimension(nu) * t * t
+    return total
+
+
+def _factorial_product(shape, m_value, sign):
+    """prod (M + sign * content) over the cells, at M = m_value."""
+    out = 1
+    for i, j in _cells(shape):
+        out *= m_value + sign * (j - i)
+    return out
+
+
+def _oracle_gamma(mu, m, m_value):
+    n, side = sum(mu), _side(mu)
+    t = 1
+    for i, j in _cells(mu):
+        t *= (j - i) or 1
+    inner = sum(Fraction(_hook_dimension(rho) * _nu_sum(mu, rho, side),
+                         _factorial_product(rho, m_value, -1))
+                for rho in _shapes(m))
+    return (Fraction(_factorial_product(mu, m_value, 1), t * t) * inner
+            * (-m_value) ** m / (factorial(m) * factorial(n + m)))
+
+
+def _oracle_inv_gamma(mu, k, m_value):
+    n, side = sum(mu), _side(mu)
+    t = 1
+    for i, j in _cells(mu):
+        t *= (j - i) or 1
+    total = Fraction(0)
+    for rho_weight in range(n, k + 1):
+        for rho in _shapes(rho_weight):
+            if not _contained(mu, rho):
+                continue
+            g_det = binomial_matrix_determinant(rho, mu, 0)
+            if not g_det:
+                continue
+            for omega in _shapes(k - rho_weight):
+                total += (g_det * _nu_sum(omega, rho, side) * _hook_dimension(omega)
+                          * Fraction(_factorial_product(omega, m_value, 1),
+                                     factorial(sum(omega))))
+    return (Fraction((-1) ** n * _factorial_product(mu, m_value, 1) ** 2, t * t)
+            * total / ((-1) ** k * factorial(k) * m_value ** k))
+
+
+@pytest.mark.parametrize("regime,order,oracle", [
+    (VAR_GAMMA, 4, _oracle_gamma), (VAR_INV_GAMMA, 8, _oracle_inv_gamma)])
+def test_absorption_coefficients_match_independent_oracle(regime, order, oracle):
+    for w in range(4):
+        for mu in _shapes(w):
+            series = reflection_schur_moment(mu, regime, order)
+            for p in range(order + 1):
+                for m_value in (7, 11):
+                    assert series.coefficient(p).evaluate(m_value) == \
+                        oracle(mu, p, m_value), (mu, p, m_value)
+
+
+def test_absorption_coefficients_need_no_root_search(monkeypatch):
+    # Their denominators are products of (M - content): every root is known
+    # when the sum is built, so no non-constant denominator is searched.
+    from delaymoments import algebra, engine
+
+    real = algebra._split_integer_roots
+    searched = []
+
+    def counting(cs):
+        if len(cs) > 1:
+            searched.append(cs)
+        return real(cs)
+
+    caches = (engine._reflection_gamma, engine._reflection_inv_gamma)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(algebra, "_split_integer_roots", counting)
+    try:
+        engine._reflection_gamma((2, 1), 4)
+        engine._reflection_inv_gamma((2, 1), 8)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert searched == []

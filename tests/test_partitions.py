@@ -134,6 +134,24 @@ def test_cached_products_validate_raw_tuples():
         assert str(exc.value) == message
 
 
+def test_cached_entry_points_accept_any_partition_input():
+    # Lists, tuples and Partitions name the same shape and share one cache
+    # entry, which the tracer reads through `cache_info`.
+    forms = ([2, 1], (2, 1), Partition((2, 1)))
+    for entry, args in ((schur_product, ((1,),)), (schur_product, ((1,), 1)),
+                        (character_row, ()), (skew_tableaux, ((1,),))):
+        results = [entry(form, *args) for form in forms]
+        assert results[0] == results[1] == results[2]
+    assert schur_product([2, 1], [1]) is schur_product(Partition((2, 1)), (1,))
+    assert character_row([2, 1]) is character_row((2, 1))
+    assert schur_product([2, 1], [1]) == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
+    assert character_row([2, 1]) == {(3,): 1, (1, 1, 1): -1}
+    assert skew_tableaux([2, 1], [1]) == 2
+    assert lr_coefficient([2, 1], [1], [3, 1]) == 1
+    for entry in (schur_product, character_row):
+        assert entry.cache_info().currsize >= 1
+
+
 def test_subpartitions_of_21():
     subs = [p.parts for p in subpartitions((2, 1))]
     assert subs == [(2, 1), (2,), (1, 1), (1,), ()]
