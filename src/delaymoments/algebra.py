@@ -529,9 +529,10 @@ class RationalFunction:
     Sums take the larger multiplicity per root and the lcm of the contents,
     products add multiplicities; reduction is synthetic division at the
     listed roots plus one integer gcd.  The Euclidean `polynomial_gcd` runs
-    only when R is non-trivial.  The absorption coefficients, sums of terms
-    whose roots are cell contents, are built once over those known roots
-    by `from_root_terms`: no root search, one reduction per coefficient.
+    only when R is non-trivial.  The engine's coefficients, sums of terms
+    whose roots are cell contents (gamma, inv-gamma) or -1 (large M), are
+    built once over those known roots by `from_root_terms`: no root
+    search, one reduction per coefficient.
     `num` (scaled) and `den` (monic) are derived views.  Instances are
     immutable.
     """
@@ -579,35 +580,46 @@ class RationalFunction:
                         num_roots: Iterable[int] = (),
                         den_roots: Iterable[int] = ()) -> RationalFunction:
         """scale * prod (x - a) / prod (x - b) over num_roots a and den_roots
-        b, times the sum of w * prod (x - a_t) / prod (x - b_t) over the
-        terms (w, a_t, b_t); w are exact scalars and every root list is of
-        integers, repeated by multiplicity.
+        b, times the sum of w * f * prod (x - a_t) / prod (x - b_t) over the
+        terms (w, a_t, b_t) or (w, a_t, b_t, f); w are exact scalars, f is an
+        optional non-zero integer polynomial given by its ascending
+        coefficients, and every root list is of integers, repeated by
+        multiplicity.
 
-        The terms go over one common denominator (per root the largest
-        multiplicity among the terms, and the lcm of the scalar
-        denominators), their integer numerators are added, and the sum is
-        reduced once.  Every root is known, so no root search runs."""
-        parts = []
-        common: dict[int, int] = {}
-        for w, tops, bottoms in terms:
+        Terms with the same denominator root list are added first.  The
+        groups then go over one common denominator (per root the largest
+        multiplicity among them, and the lcm of the scalar denominators),
+        their integer numerators are added, and the sum is reduced once.
+        Every root is known, so no root search runs."""
+        groups: dict[tuple[int, ...], list] = {}
+        for w, tops, bottoms, *factor in terms:
             w = _as_fraction(w)
-            if not w:
-                continue
+            if w:
+                groups.setdefault(tuple(bottoms), []).append(
+                    (w, tops, tuple(factor[0]) if factor else _ONE))
+        content = lcm(1, *(w.denominator for group in groups.values()
+                           for w, _, _ in group))
+        common: dict[int, int] = {}
+        summed = []
+        for bottoms, group in groups.items():
             bottom: dict[int, int] = {}
             for r in bottoms:
                 bottom[r] = m = bottom.get(r, 0) + 1
                 if m > common.get(r, 0):
                     common[r] = m
-            parts.append((w, tops, bottom))
-        content = lcm(1, *(w.denominator for w, _, _ in parts))
+            top: tuple[int, ...] = ()
+            for w, tops, factor in group:
+                term = _imul(factor, (w.numerator * (content // w.denominator),))
+                for a in tops:
+                    term = _times_root(term, a, 1)
+                top = _iadd(top, term) if top else term
+            if top:
+                summed.append((top, bottom))
         num: tuple[int, ...] = ()
-        for w, tops, bottom in parts:
-            term = (w.numerator * (content // w.denominator),)
-            for a in tops:
-                term = _times_root(term, a, 1)
+        for top, bottom in summed:
             for r, m in common.items():
-                term = _times_root(term, r, m - bottom.get(r, 0))
-            num = _iadd(num, term)
+                top = _times_root(top, r, m - bottom.get(r, 0))
+            num = _iadd(num, top)
         scale = _as_fraction(scale)
         if not num or not scale:
             return cls.constant(symbol, 0)
@@ -986,10 +998,10 @@ class TruncatedSeries:
         e = VARIABLE_POWER[self.variable][symbol]
         if e:
             return self.shift_power(e * k)
-        monomial = Polynomial(symbol, (0,) * abs(k) + (1,))
         if k < 0:
-            return self.scale(RationalFunction(Polynomial.constant(symbol, 1), monomial))
-        return self.scale(monomial)
+            return self.scale(RationalFunction.from_root_terms(
+                symbol, [(1, (), ())], den_roots=[0] * -k))
+        return self.scale(Polynomial(symbol, (0,) * k + (1,)))
 
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:

@@ -68,10 +68,15 @@ def falling_factorial(rho: PartitionLike) -> Polynomial:
 
 def absorption_weight(beta: PartitionLike) -> Polynomial:
     """Product of (1 + q*g) over the cycle lengths q of beta."""
-    p = Polynomial.constant(SYM_G, 1)
-    for q in as_parts(beta):
-        p = p * Polynomial(SYM_G, (1, q))
-    return p
+    return Polynomial(SYM_G, _absorption_coeffs(as_parts(beta)))
+
+
+def _absorption_coeffs(beta: tuple[int, ...]) -> tuple[int, ...]:
+    """Ascending integer coefficients of the product of (1 + q*g) over beta."""
+    cs = (1,)
+    for q in beta:
+        cs = tuple(a + q * b for a, b in zip(cs + (0,), (0,) + cs))
+    return cs
 
 
 def binomial_determinant(lam: PartitionLike, mu: PartitionLike) -> Polynomial:
@@ -154,19 +159,20 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
 
     Each coefficient sums dimension * content_product**2 over the strip
     expansion of s_mu * p_beta bounded at mu's Durfee square; strips only add
-    cells, so every kept shape has exactly that square.
+    cells, so every kept shape has exactly that square.  Each power is then
+    one sum over the known root g = -1, the factors prod (1 + q*g) of the
+    cycle types riding along as integer polynomials.
     Cycle types without fixed points satisfy length <= m/2, so weights
     m <= 2*(order + |mu|) exhaust every term that can touch powers <= order.
     """
     n = sum(mp)
-    t_sq = content_product(mp) ** 2
-    inv_one_plus_g = RationalFunction(Polynomial.constant(SYM_G, 1),
-                                      Polynomial(SYM_G, (1, 1)))
     d_mu = durfee(mp)
 
-    # Group terms by the 1/M power of the bare sum before the prefactor.
-    grouped: dict[int, RationalFunction] = {}
+    # Terms by the 1/M power of the bare sum before the prefactor; every
+    # term's denominator is (1+g)**(n+m), a root -1 of multiplicity n+m.
+    terms: dict[int, list[tuple]] = {}
     for m in range(0, 2 * (order + n) + 1):
+        one_plus_g = (-1,) * (n + m)
         for beta in enumerate_partitions(m, forbid_part_one=True):
             ell = len(beta)
             exponent = n + m - ell
@@ -174,14 +180,14 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
                 continue
             inner = sum(c * _dim_content_weight(nu)
                         for nu, c in strip_expansion(mp, beta, d_mu).items())
-            if not inner:
-                continue
-            scalar = Fraction((-1) ** ell * class_size(beta) * inner,
-                              factorial(m) * factorial(n + m) * t_sq)
-            coeff = (RationalFunction(absorption_weight(beta))
-                     * inv_one_plus_g ** (n + m) * scalar)
-            grouped[exponent] = grouped.get(exponent,
-                                            RationalFunction.constant(SYM_G, 0)) + coeff
+            if inner:
+                scalar = Fraction((-1) ** ell * class_size(beta) * inner,
+                                  factorial(m) * factorial(n + m))
+                terms.setdefault(exponent, []).append(
+                    (scalar, (), one_plus_g, _absorption_coeffs(beta)))
+    scale = Fraction(1, content_product(mp) ** 2)
+    grouped = {exponent: RationalFunction.from_root_terms(SYM_G, group, scale)
+               for exponent, group in terms.items()}
 
     bare = TruncatedSeries(VAR_INV_M, grouped, order + 2 * n)
     return bare.times_m_polynomial(rising_factorial(mp) ** 2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import cache, wraps
+from itertools import accumulate
 from math import factorial, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -238,29 +239,6 @@ def class_size(beta: PartitionLike) -> int:
     return factorial(sum(bp)) // z
 
 
-def _parts_from_betas(betas: list[int], length: int) -> Partition:
-    """Recover a partition from a descending beta-set of the given length."""
-    parts = [betas[j] - (length - 1 - j) for j in range(length)]
-    return _shape(p for p in parts if p > 0)
-
-
-def _strip_additions(parts: tuple[int, ...], k: int) -> list[tuple[Partition, int]]:
-    """All ways to add a border strip of size k; yields (shape, height)."""
-    length = len(parts) + k
-    padded = list(parts) + [0] * (length - len(parts))
-    betas = [padded[i] + (length - 1 - i) for i in range(length)]
-    beta_set = set(betas)
-    out = []
-    for b in betas:
-        t = b + k
-        if t in beta_set:
-            continue
-        height = sum(1 for c in betas if b < c < t)
-        new = sorted((beta_set - {b}) | {t}, reverse=True)
-        out.append((_parts_from_betas(new, length), height))
-    return out
-
-
 @cache
 def _character(mu: tuple[int, ...], beta: tuple[int, ...]) -> int:
     return character_row(beta).get(mu, 0)
@@ -288,19 +266,49 @@ def strip_expansion(mu: PartitionLike, beta: PartitionLike,
     """Expand s_mu * p_beta in the Schur basis as {shape: non-zero coefficient}
     by adding one border strip per part of beta (the Murnaghan-Nakayama rule).
     With `max_durfee` = d only shapes whose Durfee square has side at most d
-    are kept: strips only add cells, so a pruned shape never comes back."""
+    are kept: strips only add cells, so a pruned shape never comes back.
+
+    Shapes are held as bead bitmasks: with L = len(mu) + |beta| beads, row i
+    (0-based) of a shape puts a bead at position part_i + L - 1 - i, and no
+    shape of the product has more than L rows.  A k-strip moves one bead from
+    b to a free b + k; its sign is the parity of the beads strictly between.
+    Row i reaches the diagonal (part_i > i) exactly when its bead sits at or
+    above L, so the Durfee side is the number of beads there.  Each kept
+    mask becomes a Partition once, at the end.
+    """
     mp, bp = as_parts(mu), as_parts(beta)
-    # Unbounded: no shape of the product has more rows than this.
-    d = len(mp) + sum(bp) if max_durfee is None else max_durfee
-    row: dict[Partition, int] = {mp: 1} if durfee(mp) <= d else {}
+    beads = len(mp) + sum(bp)
+    start = (1 << beads) - 1
+    for i, p in enumerate(mp):
+        start += ((1 << p) - 1) << (beads - 1 - i)
+    d = beads if max_durfee is None else max_durfee
+    row: dict[int, int] = {start: 1} if (start >> beads).bit_count() <= d else {}
     for k in bp:
-        nxt: dict[Partition, int] = defaultdict(int)
-        for shape, coef in row.items():
-            for grown, height in _strip_additions(shape, k):
-                if len(grown) <= d or grown[d] <= d:
-                    nxt[grown] += coef * (-1) ** height
-        row = {s: c for s, c in nxt.items() if c}
-    return row
+        between = (1 << (k - 1)) - 1
+        # Beads whose move crosses position `beads` add one to the Durfee side.
+        crossing = ((1 << k) - 1) << (beads - k)
+        nxt: dict[int, int] = defaultdict(int)
+        for mask, coef in row.items():
+            movable = mask & ~(mask >> k)
+            if (mask >> beads).bit_count() >= d:
+                movable &= ~crossing
+            while movable:
+                b = movable.bit_length() - 1
+                movable ^= 1 << b
+                grown = mask ^ (1 << b) ^ (1 << (b + k))
+                nxt[grown] += -coef if (mask >> (b + 1) & between).bit_count() & 1 else coef
+        row = {m: c for m, c in nxt.items() if c}
+    return {_mask_shape(mask): c for mask, c in row.items()}
+
+
+def _mask_shape(mask: int) -> Partition:
+    """The Partition whose rows put their beads at the set bits of `mask`:
+    a row's part is the number of empty positions below its bead."""
+    # Past the "0b" prefix, each "1" is followed by the run of empty
+    # positions down to the next bead; the trailing beads are empty rows.
+    # Summing the runs from the bottom up gives the parts, smallest first.
+    runs = [len(z) for z in bin(mask).rstrip("1").split("1")[:0:-1]]
+    return _shape(reversed(list(accumulate(runs))))
 
 
 def _lr_expand(base: tuple[int, ...], content: tuple[int, ...],

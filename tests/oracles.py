@@ -5,6 +5,9 @@ alternant (Frobenius) coefficient extraction, Schur polynomials from
 explicit semistandard-tableau enumeration, Littlewood-Richardson
 coefficients from expanding actual polynomial products in many variables,
 and the transform determinant from elimination on the binomial matrix.
+Shapes, hook lengths, contents and Durfee squares are computed here.  The
+large-M coefficients are assembled term by term with the public
+`Polynomial` and `RationalFunction` arithmetic, which has its own tests.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
+
+from delaymoments.algebra import SYM_G, SYM_M, Polynomial, RationalFunction
 
 
 def _parity(perm: tuple[int, ...]) -> int:
@@ -169,3 +174,104 @@ def binomial_matrix_determinant(lam: tuple[int, ...], mu: tuple[int, ...],
     return bareiss_determinant(
         [[_binomial(m + lam[i] - (i + 1), lam[i] - i - (padded[j] - j))
           for j in range(n)] for i in range(n)])
+
+
+def shapes(weight: int, largest: int | None = None, smallest: int = 1):
+    """All partitions of `weight` with parts between `smallest` and
+    `largest`, the larger parts first."""
+    if weight == 0:
+        yield ()
+        return
+    for first in range(min(weight, largest or weight), smallest - 1, -1):
+        for rest in shapes(weight - first, first, smallest):
+            yield (first,) + rest
+
+
+def cells(shape: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(i, j) for i, row in enumerate(shape) for j in range(row)]
+
+
+def hook_dimension(shape: tuple[int, ...]) -> int:
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0)]
+    hooks = 1
+    for i, j in cells(shape):
+        hooks *= shape[i] - j + columns[j] - i - 1
+    return factorial(sum(shape)) // hooks
+
+
+def durfee_side(shape: tuple[int, ...]) -> int:
+    return sum(1 for i, row in enumerate(shape) if row > i)
+
+
+def _content_product(shape: tuple[int, ...]) -> int:
+    return prod((j - i) or 1 for i, j in cells(shape))
+
+
+@cache
+def durfee_weighted_sum(a: tuple[int, ...], b: tuple[int, ...], side: int) -> int:
+    """Sum of dim(nu) * (product of non-zero contents of nu)**2 over s_a * s_b
+    (with multiplicity), restricted to nu with the given Durfee side."""
+    total = 0
+    for nu, c in brute_schur_product(a, b, max(len(a) + len(b), 1)).items():
+        if durfee_side(nu) == side:
+            total += c * hook_dimension(nu) * _content_product(nu) ** 2
+    return total
+
+
+@cache
+def _character(rho: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    return frobenius_character(rho, beta)
+
+
+def inv_m_inner_sum(mu: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """Sum over rho of chi^rho(beta) times `durfee_weighted_sum(mu, rho)` at
+    mu's Durfee side: the shape sum of the large-M expansion for cycle type
+    beta, since p_beta = sum_rho chi^rho(beta) s_rho."""
+    side = durfee_side(mu)
+    return sum(_character(rho, beta) * durfee_weighted_sum(mu, rho, side)
+               for rho in shapes(sum(beta)))
+
+
+def inv_m_reflection_coefficients(mu: tuple[int, ...],
+                                  order: int) -> dict[int, RationalFunction]:
+    """{p: coefficient of 1/M**p} of the large-M reflection moment of mu, for
+    -|mu| <= p <= order, zeros left out.  Straight from the defining sum:
+
+        prod_c (M + c)**2 / t**2 * sum over cycle types beta of weight m with
+        no part 1 of (-1)**len(beta) |C_beta| inner(mu, beta)
+        / (m! (|mu| + m)!) * prod_q (1 + q g) / (1 + g)**(|mu| + m)
+        * M**-(|mu| + m - len(beta)),
+
+    with c the cell contents of mu and t the product of the non-zero ones;
+    a term reaches powers <= order only if m <= 2 (order + |mu|)."""
+    n = sum(mu)
+    zero = RationalFunction.constant(SYM_G, 0)
+    one_plus_g = Polynomial(SYM_G, (1, 1))
+    bare: dict[int, RationalFunction] = {}
+    for m in range(2 * (order + n) + 1):
+        for beta in shapes(m, smallest=2):
+            exponent = n + m - len(beta)
+            if exponent - 2 * n > order:
+                continue
+            centraliser = prod(q ** beta.count(q) * factorial(beta.count(q))
+                               for q in set(beta))
+            scalar = Fraction((-1) ** len(beta) * (factorial(m) // centraliser)
+                              * inv_m_inner_sum(mu, beta),
+                              factorial(m) * factorial(n + m) * _content_product(mu) ** 2)
+            weight = Polynomial(SYM_G, (1,))
+            for q in beta:
+                weight = weight * Polynomial(SYM_G, (1, q))
+            bare[exponent] = bare.get(exponent, zero) + RationalFunction(
+                weight * scalar, one_plus_g ** (n + m))
+    rising = Polynomial(SYM_M, (1,))
+    for i, j in cells(mu):
+        rising = rising * Polynomial(SYM_M, (j - i, 1))
+    square = rising * rising
+    out = {}
+    for p in range(-n, order + 1):
+        total = zero
+        for d in range(square.degree + 1):
+            total = total + bare.get(p + d, zero) * square.coefficient(d)
+        if not total.is_zero:
+            out[p] = total
+    return out

@@ -104,7 +104,11 @@ def test_canonical_form_is_route_independent(x, y):
 
 roots = root_factors.map(lambda factors: [r for r, k in factors for _ in range(k)])
 weights = st.one_of(st.integers(-4, 4), fractions)
-root_terms = st.lists(st.tuples(weights, roots, roots), max_size=4)
+# An optional integer polynomial factor per term, ascending coefficients.
+factors = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(
+    lambda cs: cs[-1] != 0).map(tuple)
+root_terms = st.lists(st.one_of(st.tuples(weights, roots, roots),
+                                st.tuples(weights, roots, roots, factors)), max_size=4)
 
 
 def root_product(rs):
@@ -112,6 +116,11 @@ def root_product(rs):
     for r in rs:
         out *= M - r
     return out
+
+
+def factor_expr(f):
+    """The optional factor of a root term: f is empty or holds coefficients."""
+    return sum(c * M**k for k, c in enumerate(f[0])) if f else 1
 
 
 def rational(x):
@@ -127,15 +136,16 @@ def test_root_terms_sum_once(terms, scale, num_roots, den_roots):
     # the fields of the same value built and summed term by term.
     ours = RationalFunction.from_root_terms("M", terms, scale, num_roots, den_roots)
     assert_matches(ours, rational(scale) * root_product(num_roots) / root_product(den_roots)
-                   * sum(rational(w) * root_product(a) / root_product(b) for w, a, b in terms))
+                   * sum(rational(w) * factor_expr(f) * root_product(a) / root_product(b)
+                         for w, a, b, *f in terms))
 
-    def public(w, a, b):
-        return RationalFunction(Polynomial.from_roots("M", a) * w,
+    def public(w, a, b, f=(1,)):
+        return RationalFunction(Polynomial.from_roots("M", a) * Polynomial("M", f) * w,
                                 Polynomial.from_roots("M", b))
 
     by_terms = RationalFunction.constant("M", 0)
-    for w, a, b in terms:
-        by_terms = by_terms + public(w, a, b)
+    for term in terms:
+        by_terms = by_terms + public(*term)
     by_terms = by_terms * public(scale, num_roots, den_roots)
     assert ours == by_terms
     assert ours.integer_form() == by_terms.integer_form()

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import cache
 from math import factorial
 
 import pytest
@@ -32,9 +31,18 @@ from delaymoments.partitions import (
     durfee,
     enumerate_partitions,
     skew_tableaux,
+    strip_expansion,
     subpartitions,
 )
-from oracles import binomial_matrix_determinant, brute_schur_product
+from oracles import (
+    binomial_matrix_determinant,
+    cells,
+    durfee_side,
+    durfee_weighted_sum,
+    hook_dimension,
+    inv_m_reflection_coefficients,
+    shapes,
+)
 
 
 def pm(*coeffs):
@@ -268,89 +276,49 @@ class TestDelayMoments:
 
 
 # An oracle for the absorption coefficients that shares no code with the
-# engine: shapes, hook lengths, contents and Durfee squares are computed
-# here, LR coefficients come from expanding actual polynomial products and
+# engine: shapes, hook lengths, contents and Durfee squares come from
+# `oracles`, LR coefficients from expanding actual polynomial products and
 # the geometric determinants from elimination on the binomial matrix.
-
-def _shapes(weight, largest=None):
-    """All partitions of `weight` with parts at most `largest`."""
-    if weight == 0:
-        yield ()
-        return
-    for first in range(min(weight, largest or weight), 0, -1):
-        for rest in _shapes(weight - first, first):
-            yield (first,) + rest
-
-
-def _cells(shape):
-    return [(i, j) for i, row in enumerate(shape) for j in range(row)]
-
-
-def _hook_dimension(shape):
-    columns = [sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0)]
-    hooks = 1
-    for i, j in _cells(shape):
-        hooks *= shape[i] - j + columns[j] - i - 1
-    return factorial(sum(shape)) // hooks
-
-
-def _side(shape):
-    return sum(1 for i, row in enumerate(shape) if row > i)
-
 
 def _contained(inner, outer):
     return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
 
 
-@cache
-def _nu_sum(a, b, side):
-    """Sum of dim(nu) * (product of non-zero contents of nu)**2 over s_a * s_b
-    (with multiplicity), restricted to nu with the given Durfee side."""
-    total = 0
-    for nu, c in brute_schur_product(a, b, max(len(a) + len(b), 1)).items():
-        if _side(nu) == side:
-            t = 1
-            for i, j in _cells(nu):
-                t *= (j - i) or 1
-            total += c * _hook_dimension(nu) * t * t
-    return total
-
-
 def _factorial_product(shape, m_value, sign):
     """prod (M + sign * content) over the cells, at M = m_value."""
     out = 1
-    for i, j in _cells(shape):
+    for i, j in cells(shape):
         out *= m_value + sign * (j - i)
     return out
 
 
 def _oracle_gamma(mu, m, m_value):
-    n, side = sum(mu), _side(mu)
+    n, side = sum(mu), durfee_side(mu)
     t = 1
-    for i, j in _cells(mu):
+    for i, j in cells(mu):
         t *= (j - i) or 1
-    inner = sum(Fraction(_hook_dimension(rho) * _nu_sum(mu, rho, side),
+    inner = sum(Fraction(hook_dimension(rho) * durfee_weighted_sum(mu, rho, side),
                          _factorial_product(rho, m_value, -1))
-                for rho in _shapes(m))
+                for rho in shapes(m))
     return (Fraction(_factorial_product(mu, m_value, 1), t * t) * inner
             * (-m_value) ** m / (factorial(m) * factorial(n + m)))
 
 
 def _oracle_inv_gamma(mu, k, m_value):
-    n, side = sum(mu), _side(mu)
+    n, side = sum(mu), durfee_side(mu)
     t = 1
-    for i, j in _cells(mu):
+    for i, j in cells(mu):
         t *= (j - i) or 1
     total = Fraction(0)
     for rho_weight in range(n, k + 1):
-        for rho in _shapes(rho_weight):
+        for rho in shapes(rho_weight):
             if not _contained(mu, rho):
                 continue
             g_det = binomial_matrix_determinant(rho, mu, 0)
             if not g_det:
                 continue
-            for omega in _shapes(k - rho_weight):
-                total += (g_det * _nu_sum(omega, rho, side) * _hook_dimension(omega)
+            for omega in shapes(k - rho_weight):
+                total += (g_det * durfee_weighted_sum(omega, rho, side) * hook_dimension(omega)
                           * Fraction(_factorial_product(omega, m_value, 1),
                                      factorial(sum(omega))))
     return (Fraction((-1) ** n * _factorial_product(mu, m_value, 1) ** 2, t * t)
@@ -361,7 +329,7 @@ def _oracle_inv_gamma(mu, k, m_value):
     (VAR_GAMMA, 4, _oracle_gamma), (VAR_INV_GAMMA, 8, _oracle_inv_gamma)])
 def test_absorption_coefficients_match_independent_oracle(regime, order, oracle):
     for w in range(4):
-        for mu in _shapes(w):
+        for mu in shapes(w):
             series = reflection_schur_moment(mu, regime, order)
             for p in range(order + 1):
                 for m_value in (7, 11):
@@ -370,9 +338,11 @@ def test_absorption_coefficients_match_independent_oracle(regime, order, oracle)
 
 
 def test_absorption_coefficients_need_no_root_search(monkeypatch):
-    # Their denominators are products of (M - content): every root is known
-    # when the sum is built, so no non-constant denominator is searched.
-    from delaymoments import algebra, engine
+    # Their denominators are products of (M - content), or powers of (1 + g)
+    # in the large-M regime, and the Wigner moments divide by M**n: every
+    # root is known when the sum is built, so no non-constant denominator
+    # is searched.
+    from delaymoments import algebra, engine, stats
 
     real = algebra._split_integer_roots
     searched = []
@@ -382,14 +352,72 @@ def test_absorption_coefficients_need_no_root_search(monkeypatch):
             searched.append(cs)
         return real(cs)
 
-    caches = (engine._reflection_gamma, engine._reflection_inv_gamma)
+    caches = (engine._reflection_inv_m, engine._reflection_gamma,
+              engine._reflection_inv_gamma, engine._delay_schur_moment,
+              stats._wigner_moment)
     for cached in caches:
         cached.cache_clear()
     monkeypatch.setattr(algebra, "_split_integer_roots", counting)
     try:
         engine._reflection_gamma((2, 1), 4)
         engine._reflection_inv_gamma((2, 1), 8)
+        engine._reflection_inv_m((2, 1), 2)
+        stats._wigner_moment(3, VAR_GAMMA, 3)
+        stats._wigner_moment(3, VAR_INV_GAMMA, 6)
     finally:
         for cached in caches:
             cached.cache_clear()
     assert searched == []
+
+
+def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
+    # The cycle-type terms are summed as integer polynomials: before the
+    # prefactor rising_factorial(mu)**2 is built, no Fraction polynomial
+    # exists and at most one RationalFunction per power of 1/M, however
+    # many cycle types enter.
+    from delaymoments import algebra, engine
+
+    created = {"polynomials": 0, "rational functions": 0}
+    cycle_types = []
+    at_prefactor = []
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            created[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def prefactor(mu):
+        at_prefactor.append(dict(created))
+        return rising_factorial(mu)
+
+    def expansion(mu, beta, d):
+        cycle_types.append(beta)
+        return strip_expansion(mu, beta, d)
+
+    monkeypatch.setattr(algebra.Polynomial, "__init__",
+                        counted("polynomials", algebra.Polynomial.__init__))
+    monkeypatch.setattr(algebra.RationalFunction, "__init__",
+                        counted("rational functions", algebra.RationalFunction.__init__))
+    monkeypatch.setattr(algebra, "_new", counted("rational functions", algebra._new))
+    monkeypatch.setattr(engine, "rising_factorial", prefactor)
+    monkeypatch.setattr(engine, "strip_expansion", expansion)
+    engine._reflection_inv_m.cache_clear()
+    try:
+        engine._reflection_inv_m((3, 2), 2)
+    finally:
+        engine._reflection_inv_m.cache_clear()
+    # The bare sum has powers 5 to 12 of 1/M.
+    [counts] = at_prefactor
+    assert counts["polynomials"] == 0
+    assert counts["rational functions"] <= 8 < len(cycle_types)
+
+
+def test_inv_m_coefficients_match_independent_oracle():
+    # Characters from the alternant, LR products from polynomials, the
+    # Durfee filter and every weight computed in `oracles`, the terms summed
+    # one by one with the public rational arithmetic.
+    for mu, order in (((), 3), ((1,), 2), ((2,), 1), ((1, 1), 1), ((3,), 0),
+                      ((2, 1), 0)):
+        series = reflection_schur_moment(mu, VAR_INV_M, order)
+        assert dict(series.coeffs) == inv_m_reflection_coefficients(mu, order), mu

@@ -245,6 +245,56 @@ def test_strip_expansion_against_oracles():
                             nu: c for nu, c in full.items() if durfee(nu) <= d}
 
 
+def _principal_specialisation(shape, n):
+    """s_shape(1^n) by the hook-content formula: the product of n + content
+    over the cells divided by the product of the hook lengths (an integer
+    for every integer n)."""
+    columns = [sum(1 for row in shape if row > j) for j in range(shape[0] if shape else 0)]
+    contents, hooks = 1, 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            contents *= n + j - i
+            hooks *= row - j + columns[j] - i - 1
+    value, rest = divmod(contents, hooks)
+    assert not rest
+    return value
+
+
+def _assert_principal_specialisation(mu, beta, expansion):
+    # p_k(1^n) = n, so s_mu * p_beta at 1^n is s_mu(1^n) * n**len(beta).  Both
+    # sides are polynomials in n of degree |mu| + |beta| <= 12, so 13 points
+    # make it an identity.
+    for n in range(-6, 7):
+        assert sum(c * _principal_specialisation(nu, n) for nu, c in expansion.items()) \
+            == _principal_specialisation(mu, n) * n ** len(beta), (mu, beta, n)
+
+
+def test_strip_expansion_by_principal_specialisation():
+    # Beyond the range of the polynomial oracles: |mu| + |beta| from 7 to 12.
+    for total in range(7, 13):
+        for mu_weight in (0, 3, 5):
+            for mu in enumerate_partitions(mu_weight):
+                for beta in enumerate_partitions(total - mu_weight, forbid_part_one=True):
+                    full = strip_expansion(mu, beta)
+                    _assert_principal_specialisation(mu, beta, full)
+                    for d in range(0, 4):
+                        assert strip_expansion(mu, beta, d) == {
+                            nu: c for nu, c in full.items() if durfee(nu) <= d}
+
+
+def test_strip_expansion_keeps_the_tallest_shape():
+    # One 7-strip on a column of 5: the vertical strip reaches row 12, the
+    # most rows any shape of the product can have, so every bead is used.
+    mu, beta = (1,) * 5, (7,)
+    full = strip_expansion(mu, beta)
+    _assert_principal_specialisation(mu, beta, full)
+    assert full[(1,) * 12] == 1 and full[(8, 1, 1, 1, 1)] == 1
+    assert max(map(len, full)) == 12
+    for d in range(0, 4):
+        assert strip_expansion(mu, beta, d) == {
+            nu: c for nu, c in full.items() if durfee(nu) <= d}
+
+
 def test_lr_coefficient_examples():
     assert lr_coefficient((2, 1), (), (2, 1)) == 1
     assert lr_coefficient((2, 1), (), (3,)) == 0
