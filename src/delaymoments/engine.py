@@ -17,6 +17,7 @@ coefficient is exact.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
@@ -36,12 +37,12 @@ from .algebra import (
 from .partitions import (
     PartitionLike,
     as_parts,
+    character_row,
     class_size,
     content_product,
     dimension,
     durfee,
     enumerate_partitions,
-    schur_product,
     skew_contents,
     skew_tableaux,
     strip_expansion,
@@ -117,20 +118,64 @@ def _dim_content_weight(parts: tuple[int, ...]) -> int:
 
 @cache
 def _durfee_weighted_sum(a: tuple[int, ...], b: tuple[int, ...], target: int) -> int:
-    """Sum of dimension * content_product**2 over the Durfee-bounded Schur
-    product s_a * s_b, restricted to results whose Durfee square has side
-    `target`."""
+    """Sum of dimension * content_product**2 over the Schur product s_a * s_b,
+    restricted to results whose Durfee square has side `target`: the entry
+    for the lighter factor in the `_durfee_row` of the heavier one."""
+    if max(durfee(a), durfee(b)) > target:
+        # Both factors sit inside every shape of the product.
+        return 0
+    if (sum(a), a) < (sum(b), b):
+        a, b = b, a
+    return _durfee_row(a, sum(b), target).get(b, 0)
+
+
+@cache
+def _durfee_row(a: tuple[int, ...], m: int, target: int) -> dict[tuple[int, ...], int]:
+    """{b: `_durfee_weighted_sum(a, b, target)`} for every b of weight m (zeros
+    left out), from the power-sum expansion of s_b over cycle types beta:
+
+        m! * _durfee_weighted_sum(a, b, target)
+            = sum over beta of class_size(beta) * chi^b(beta) * I(beta),
+
+    with I(beta) the weight summed over the strip expansion of s_a * p_beta at
+    side `target`.  The fixed points of beta only add single cells, so I is
+    the strip expansion of the rest of beta continued by `_cell_chains`.
+    """
+    row: dict[tuple[int, ...], int] = defaultdict(int)
+    for beta in enumerate_partitions(m):
+        fixed = beta.count(1)
+        inner = sum(c * _cell_chains(kappa, fixed, target)
+                    for kappa, c in strip_expansion(a, beta[:len(beta) - fixed],
+                                                    target).items())
+        if inner:
+            weight = class_size(beta) * inner
+            for b, chi in character_row(beta).items():
+                row[b] += weight * chi
+    return {b: s // factorial(m) for b, s in row.items() if s}
+
+
+@cache
+def _cell_chains(kappa: tuple[int, ...], k: int, target: int) -> int:
+    """Sum of dimension * content_product**2 over the shapes nu of Durfee side
+    `target` that k single cells added one by one turn kappa into, each nu
+    once per chain: the weighed expansion of s_kappa * p_1**k."""
+    side = durfee(kappa)
+    if k == 0:
+        return _dim_content_weight(kappa) if side == target else 0
     total = 0
-    for nu, mult in schur_product(a, b, target).items():
-        if durfee(nu) == target:
-            total += mult * _dim_content_weight(nu)
+    for i, p in enumerate(kappa + (0,)):
+        # A cell may go at the end of row i when the row above is longer; it
+        # lies on the diagonal when p == i.
+        if (i == 0 or kappa[i - 1] > p) and (p != i or side < target):
+            total += _cell_chains(kappa[:i] + (p + 1,) + kappa[i + 1:], k - 1, target)
     return total
 
 
 def durfee_filtered_lr_sum(mu: PartitionLike, rho: PartitionLike) -> int:
     """The nested sum of the gamma and inv-gamma expansions: over shapes nu
     in s_mu * s_rho with the same Durfee square as mu, weighted by
-    dimension(nu) * content_product(nu)**2."""
+    dimension(nu) * content_product(nu)**2.  It is read from strip
+    expansions (`_durfee_weighted_sum`); no LR product is expanded."""
     mp, rp = as_parts(mu), as_parts(rho)
     return _durfee_weighted_sum(mp, rp, durfee(mp))
 

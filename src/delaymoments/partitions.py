@@ -5,6 +5,12 @@ conjugacy classes and Littlewood-Richardson expansions.  All functions are
 pure and return exact integers; the expensive ones (characters, dimensions,
 Schur products) are memoized; the mappings they return are read-only views.
 
+One kernel multiplies symmetric functions: `strip_expansion`, the
+Murnaghan-Nakayama rule for s_mu * p_beta.  A character row is that
+expansion started at the empty shape, and a Schur product s_a * s_b is its
+sum over the cycle types of the lighter factor, weighed by that factor's
+characters.
+
 A shape has one representation, `Partition`, a validated tuple of parts.
 Input from outside is validated once, where it enters (`as_parts`); the
 shapes this module generates are built without re-validation.
@@ -311,84 +317,29 @@ def _mask_shape(mask: int) -> Partition:
     return _shape(reversed(list(accumulate(runs))))
 
 
-def _lr_expand(base: tuple[int, ...], content: tuple[int, ...],
-               max_durfee: int | None = None) -> dict[Partition, int]:
-    """Expand the Schur product s_base * s_content as {shape: multiplicity}.
-
-    Counts column-strict strip sequences on top of `base` with the given
-    content whose reverse reading word is a lattice word.  With `max_durfee`
-    = d only shapes whose Durfee square has side at most d are produced:
-    row d+1 is capped at d cells while filling, and since filling only adds
-    cells a branch past the cap can never come back into range.  `base`
-    itself must lie within the bound.
-    """
-    out: dict[Partition, int] = defaultdict(int)
-    nvals = len(content)
-    if nvals == 0:
-        return {_shape(base): 1}
-    maxrows = len(base) + nvals
-    start = list(base) + [0] * (maxrows - len(base))
-    capped_row = max_durfee + 1 if max_durfee is not None else 0
-
-    def fill_value(v: int, shape: list[int], prev_prefix: list[int] | None) -> None:
-        if v > nvals:
-            out[_shape(x for x in shape if x)] += 1
-            return
-        need = content[v - 1]
-        baseline = shape[:]
-
-        # Assign cells of value v row by row; `cum` counts value-v cells so far.
-        def fill_row(r: int, remaining: int, cur: list[int], cum: int) -> None:
-            if remaining == 0:
-                prefix = [0] * (maxrows + 1)
-                for i in range(maxrows):
-                    prefix[i + 1] = prefix[i] + (cur[i] - baseline[i])
-                fill_value(v + 1, cur, prefix)
-                return
-            if r > maxrows:
-                return
-            if r == 1:
-                cap = remaining
-            else:
-                # Horizontal strip: stay at or left of the previous shape's row above.
-                cap = min(baseline[r - 2] - baseline[r - 1], remaining)
-                cap = min(cap, cur[r - 2] - baseline[r - 1])
-            if prev_prefix is not None:
-                cap = min(cap, prev_prefix[r - 1] - cum)
-            if r == capped_row:
-                cap = min(cap, max_durfee - baseline[r - 1])
-            for a in range(cap, -1, -1):
-                if a:
-                    nxt = cur[:]
-                    nxt[r - 1] += a
-                    fill_row(r + 1, remaining - a, nxt, cum + a)
-                else:
-                    fill_row(r + 1, remaining, cur, cum)
-
-        fill_row(1, need, baseline, 0)
-
-    fill_value(1, start, None)
-    return dict(out)
-
-
 @_cache_by_shape(2)
-def schur_product(a: PartitionLike, b: PartitionLike,
-                  max_durfee: int | None = None) -> Mapping[Partition, int]:
+def schur_product(a: PartitionLike, b: PartitionLike) -> Mapping[Partition, int]:
     """Littlewood-Richardson expansion of s_a * s_b, keyed by result shape.
 
-    The smaller-weight factor is inserted into the larger one.  With
-    `max_durfee` = d the expansion is restricted to shapes whose Durfee
-    square has side at most d; by default it is complete.  The result is a
-    read-only view of the cached dict.
+    The lighter factor, of weight m, is expanded in power sums,
+    s_b = sum over cycle types beta of chi^b(beta) * p_beta / z_beta, and each
+    s_a * p_beta is a `strip_expansion`:
+
+        m! * s_a * s_b = sum over beta of class_size(beta) * chi^b(beta) * s_a * p_beta.
+
+    The result is a read-only view of the cached dict.
     """
-    if (sum(a), a) >= (sum(b), b):
-        base, content = a, b
-    else:
-        base, content = b, a
-    if max_durfee is not None and max(durfee(a), durfee(b)) > max_durfee:
-        # Both factors sit inside every shape of the product.
-        return MappingProxyType({})
-    return MappingProxyType(_lr_expand(base, content, max_durfee))
+    if (sum(a), a) < (sum(b), b):
+        a, b = b, a
+    m = sum(b)
+    total: dict[Partition, int] = defaultdict(int)
+    for beta in enumerate_partitions(m):
+        chi = character_row(beta).get(b, 0)
+        if chi:
+            weight = class_size(beta) * chi
+            for nu, c in strip_expansion(a, beta).items():
+                total[nu] += weight * c
+    return MappingProxyType({nu: c // factorial(m) for nu, c in total.items() if c})
 
 
 def lr_coefficient(mu: PartitionLike, rho: PartitionLike, nu: PartitionLike) -> int:

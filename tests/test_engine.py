@@ -129,6 +129,42 @@ class TestDurfeeFilteredSum:
         assert durfee_filtered_lr_sum((1,), (2,)) == 6
         assert durfee_filtered_lr_sum((), (2,)) == 0
 
+    def test_matches_independent_oracle(self):
+        # Every pair of shapes up to total weight 6, in both orders and with
+        # equal weights, at every side from 0 to 3: above a factor's own
+        # Durfee side (the inv-gamma case), at it, and below it (zero at once).
+        from delaymoments import engine
+
+        engine._durfee_weighted_sum.cache_clear()
+        for total in range(0, 7):
+            for weight in range(total + 1):
+                for a in shapes(weight):
+                    for b in shapes(total - weight):
+                        for side in range(4):
+                            assert engine._durfee_weighted_sum(a, b, side) == \
+                                durfee_weighted_sum(a, b, side), (a, b, side)
+
+    def test_absorption_regimes_expand_no_schur_product(self):
+        # gamma and inv-gamma reach their Schur products through the strip
+        # kernel alone: from cold caches no Littlewood-Richardson expansion
+        # is asked for.
+        from delaymoments import engine, partitions
+
+        caches = (engine._reflection_gamma, engine._reflection_inv_gamma,
+                  engine._delay_schur_moment, engine._durfee_weighted_sum,
+                  partitions.schur_product)
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            for lam in ((1,), (2,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1)):
+                delay_schur_moment(lam, VAR_GAMMA, 3)
+                delay_schur_moment(lam, VAR_INV_GAMMA, 6)
+            info = partitions.schur_product.cache_info()
+        finally:
+            for cached in caches:
+                cached.cache_clear()
+        assert (info.hits, info.misses) == (0, 0)
+
 
 class TestReflectionMoments:
     def test_empty_shape_is_one_everywhere(self):

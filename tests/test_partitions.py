@@ -124,7 +124,6 @@ def test_cached_products_validate_raw_tuples():
     # refused on the cache miss instead of being expanded.
     message = "parts must be non-increasing: (1, 2)"
     for entry in (lambda: schur_product((1, 2), (1,)),
-                  lambda: schur_product((1,), (1, 2), 1),
                   lambda: character_row((1, 2)),
                   lambda: skew_tableaux((1, 2), ()),
                   lambda: skew_tableaux((2, 2), (1, 2)),
@@ -138,8 +137,8 @@ def test_cached_entry_points_accept_any_partition_input():
     # Lists, tuples and Partitions name the same shape and share one cache
     # entry, which the tracer reads through `cache_info`.
     forms = ([2, 1], (2, 1), Partition((2, 1)))
-    for entry, args in ((schur_product, ((1,),)), (schur_product, ((1,), 1)),
-                        (character_row, ()), (skew_tableaux, ((1,),))):
+    for entry, args in ((schur_product, ((1,),)), (character_row, ()),
+                        (skew_tableaux, ((1,),))):
         results = [entry(form, *args) for form in forms]
         assert results[0] == results[1] == results[2]
     assert schur_product([2, 1], [1]) is schur_product(Partition((2, 1)), (1,))
@@ -317,12 +316,6 @@ def test_lr_symmetry_and_dimension_sum():
                     total = sum(c * dimension(nu) for nu, c in prod.items())
                     assert total == dimension(mu) * dimension(rho) * \
                         comb(wa + wb, wa)
-                    # The Durfee-bounded expansion is the full one restricted
-                    # to the bound, also with an empty factor.
-                    for d in range(0, 5):
-                        want = {nu: c for nu, c in prod.items() if durfee(nu) <= d}
-                        assert schur_product(mu.parts, rho.parts, d) == want
-                        assert schur_product(rho.parts, mu.parts, d) == want
 
 
 def test_cached_mappings_are_read_only():
