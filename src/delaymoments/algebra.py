@@ -797,6 +797,30 @@ class RationalFunction:
         full = _imul(_expand_roots(self._roots), self._residual)
         return list(self._num), [c * self._content for c in full]
 
+    def expand(self, variable: str, order: int) -> TruncatedSeries:
+        """Laurent expansion in `variable` through `order`: at 0 when the
+        variable is this symbol, at infinity when it is 1/symbol.  The
+        coefficients are constants, and `min_power` is the exact leading
+        power (negative for a pole at 0 or growth at infinity)."""
+        e = VARIABLE_POWER[variable][self._symbol]
+        if not e:
+            raise VariableMismatchError(f"{variable} is not a power of {self._symbol!r}")
+        if not self._num:
+            return TruncatedSeries.zero(variable, order)
+        num, den = self.integer_form()
+        if e < 0:  # num/den = y**(deg den - deg num) rev(num)/rev(den), y = 1/x
+            num, den, lead = num[::-1], den[::-1], len(den) - len(num)
+        else:
+            zn, zd = (next(k for k, c in enumerate(cs) if c) for cs in (num, den))
+            num, den, lead = num[zn:], den[zd:], zn - zd
+        out: list[Fraction] = []
+        for j in range(order - lead + 1):
+            acc = Fraction(num[j] if j < len(num) else 0)
+            for i in range(1, min(j, len(den) - 1) + 1):
+                acc -= den[i] * out[j - i]
+            out.append(acc / den[0])
+        return TruncatedSeries(variable, dict(enumerate(out, lead)), order, lead)
+
     def factored_denominator(self) -> str:
         """The monic denominator, factored."""
         return _factored_text(self._roots, self._residual,

@@ -336,7 +336,8 @@ def _scientific(value: Fraction, digits: int) -> str:
         # Imported here: the float path serves every value in range.
         from decimal import Decimal, localcontext
 
-        with localcontext(prec=digits + 1):
+        with localcontext() as ctx:
+            ctx.prec = digits + 1
             quotient = Decimal(value.numerator) / Decimal(value.denominator)
         return f"{quotient:.{digits}e}"
 

@@ -86,32 +86,29 @@ _K4_GAMMA_0 = _rf(_pm(-924, 0, 636),
                   (_pm(-1, 0, 1))**2 * _pm(-4, 0, 1) * _pm(-9, 0, 1))
 
 
-def _expand_low(rf: RationalFunction, k: int) -> list[Fraction]:
-    """First k+1 Taylor coefficients of a rational function regular at 0."""
-    num, den = rf.num, rf.den
-    d0 = den.coefficient(0)
-    if d0 == 0:
-        raise ZeroDivisionError("pole at the origin")
-    out: list[Fraction] = []
-    for j in range(k + 1):
-        acc = num.coefficient(j)
-        for i in range(1, j + 1):
-            acc -= den.coefficient(i) * out[j - i]
-        out.append(acc / d0)
-    return out
+# (expansion variable, expected constants by power, last power checked)
+_Window = tuple[str, dict[int, int], int]
 
 
-def _expand_high(rf: RationalFunction, k: int) -> list[Fraction]:
-    """First k+1 coefficients of the expansion in 1/x at infinity."""
-    num, den = rf.num, rf.den
-    shift = den.degree - num.degree
-    if shift < 0:
-        raise ValueError("the rational function grows at infinity")
-    rev_num = Polynomial(num.symbol, tuple(reversed(num.coeffs)))
-    rev_den = Polynomial(den.symbol, tuple(reversed(den.coeffs)))
-    series = _expand_low(RationalFunction(rev_num, rev_den), k)
-    out = [Fraction(0)] * min(shift, k + 1) + series[:max(k + 1 - shift, 0)]
-    return out
+def _expansion_match(coeff: RationalFunction,
+                     windows: tuple[_Window, ...]) -> tuple[bool, str]:
+    """Expand `coeff` in each (variable, expected, hi) window and match its
+    powers from the leading one (or the first expected one, if lower)
+    through hi; absent powers must vanish."""
+    for variable, expected, hi in windows:
+        series = coeff.expand(variable, hi)
+        ok, detail = match_window(series, expected,
+                                  min(series.min_power, *expected), hi)
+        if not ok:
+            return False, f"{variable} expansion, {detail}"
+    return True, ""
+
+
+def _expansion_check(key: str, scope: str, description: str,
+                     coefficient: Callable[[], RationalFunction],
+                     windows: tuple[_Window, ...]) -> Check:
+    return Check(key, scope, True, description,
+                 lambda: _expansion_match(coefficient(), windows))
 
 
 def _intro_checks() -> list[Check]:
@@ -198,26 +195,18 @@ def _intro_checks() -> list[Check]:
         {4: _K3_INV_M_COEFF},
         0, 4))
 
-    def _weak_limit() -> tuple[bool, str]:
-        c = cumulant(2, RegimeRequest(VAR_INV_M, 2)).coefficient(2)
-        low = _expand_low(c, 1)
-        ok = low == [Fraction(2), Fraction(-12)]
-        return ok, "" if ok else f"small-g opening {low}, expected [2, -12]"
+    def _variance_m2() -> RationalFunction:
+        return cumulant(2, req(VAR_INV_M, 2)).coefficient(2)
 
-    checks.append(Check(
-        "intro.limit.weak", "intro", True,
-        "weak-absorption limit of the variance: 2(1-6g)/M^2", _weak_limit))
+    checks.append(_expansion_check(
+        "intro.limit.weak", "intro",
+        "weak-absorption limit of the variance: 2(1-6g)/M^2", _variance_m2,
+        ((VAR_GAMMA, {0: 2, 1: -12}, 1),)))
 
-    def _strong_limit() -> tuple[bool, str]:
-        c = cumulant(2, RegimeRequest(VAR_INV_M, 2)).coefficient(2)
-        gap = c.den.degree - c.num.degree
-        lead = c.num.leading / c.den.leading
-        ok = gap == 4 and lead == 1
-        return ok, "" if ok else f"large-g behaviour {lead}/g^{gap}, expected 1/g^4"
-
-    checks.append(Check(
-        "intro.limit.strong", "intro", True,
-        "strong-absorption limit of the variance: 1/(M^2 g^4)", _strong_limit))
+    checks.append(_expansion_check(
+        "intro.limit.strong", "intro",
+        "strong-absorption limit of the variance: 1/(M^2 g^4)", _variance_m2,
+        ((VAR_INV_GAMMA, {4: 1}, 4),)))
 
     return checks
 
@@ -235,21 +224,14 @@ def _section3_checks() -> list[Check]:
          2: _rf(_pg(2, -14, 1, -4), _ONE_PLUS_G**8)},
         0, 3))
 
-    def _trace2_m2_consistency() -> tuple[bool, str]:
-        # The 1/M^2 coefficient of <Tr Q^2>/M double-expanded must match the
-        # 1/M^2 parts of the weak- and strong-absorption second moments.
-        c = _trace_moment(2, VAR_INV_M, 2).coefficient(2)
-        low = _expand_low(c, 1)
-        high = _expand_high(c, 5)
-        ok = low == [Fraction(2), Fraction(-30)] and \
-            high[5] == Fraction(-4) and all(h == 0 for h in high[:5])
-        return ok, ("" if ok else
-                    f"openings {low} / {high}, expected [2, -30] and -4/g^5")
-
-    checks.append(Check(
-        "section3.trace2.m2.crossval", "section3", True,
+    # The 1/M^2 coefficient of <Tr Q^2>/M double-expanded must match the
+    # 1/M^2 parts of the weak- and strong-absorption second moments.
+    checks.append(_expansion_check(
+        "section3.trace2.m2.crossval", "section3",
         "1/M^2 coefficient of <Tr Q^2>/M agrees with the weak- and "
-        "strong-absorption second moments", _trace2_m2_consistency))
+        "strong-absorption second moments",
+        lambda: _trace_moment(2, VAR_INV_M, 2).coefficient(2),
+        ((VAR_GAMMA, {0: 2, 1: -30}, 1), (VAR_INV_GAMMA, {5: -4}, 5))))
 
     def _trace2_m2_printed() -> tuple[bool, str]:
         c = _trace_moment(2, VAR_INV_M, 2).coefficient(2)
@@ -277,14 +259,8 @@ def _section3_checks() -> list[Check]:
         c = cumulant(3, RegimeRequest(VAR_INV_M, 4)).coefficient(4)
         if c != _K3_INV_M_COEFF:
             return False, f"computed {c}, cross-validated form {_K3_INV_M_COEFF}"
-        low = _expand_low(c, 1)
-        high = _expand_high(c, 7)
-        ok = low == [Fraction(24), Fraction(-318)] and \
-            high[6] == Fraction(-2) and high[7] == Fraction(30) and \
-            all(h == 0 for h in high[:6])
-        return ok, ("" if ok else
-                    f"openings {low} / tail {high[6:]}, expected [24, -318] "
-                    f"and [-2, 30]")
+        return _expansion_match(c, ((VAR_GAMMA, {0: 24, 1: -318}, 1),
+                                    (VAR_INV_GAMMA, {6: -2, 7: 30}, 7)))
 
     checks.append(Check(
         "section3.k3.crossval", "section3", True,

@@ -32,8 +32,6 @@ from .partitions import (
     PartitionLike,
     as_parts,
     character_row,
-    dimension,
-    enumerate_partitions,
 )
 
 
@@ -89,15 +87,17 @@ def power_sum_moment(lam: PartitionLike, req: RegimeRequest) -> TruncatedSeries:
     return total
 
 
+def _normalised_power_sum(lam: tuple[int, ...], k: int, regime: str,
+                          order: int) -> TruncatedSeries:
+    """<p_lam(Q)>/M**k in the requested regime."""
+    series = power_sum_moment(lam, RegimeRequest(
+        regime, operand_order(regime, order, m_power=-k)))
+    return series.times_power(SYM_M, -k).truncate(order)
+
+
 @cache
 def _wigner_moment(n: int, regime: str, order: int) -> TruncatedSeries:
-    inner_order = operand_order(regime, order, m_power=-n)
-    total = None
-    for mu in enumerate_partitions(n):
-        term = delay_schur_moment(mu, regime, inner_order).scale(dimension(mu))
-        total = term if total is None else total + term
-    assert total is not None
-    return total.times_power(SYM_M, -n).truncate(order)
+    return _normalised_power_sum((1,) * n, n, regime, order)
 
 
 def wigner_moment(n: int, req: RegimeRequest) -> TruncatedSeries:
@@ -195,8 +195,8 @@ class Check:
                            self.description, detail)
 
 
-def match_window(series: TruncatedSeries, expected: dict[int, RationalFunction],
-                 lo: int, hi: int) -> tuple[bool, str]:
+def match_window(series: TruncatedSeries,
+                 expected: dict[int, RationalFunction | int], lo: int, hi: int) -> tuple[bool, str]:
     """Compare powers lo..hi with `expected` (absent powers must vanish)."""
     for p in range(lo, hi + 1):
         want = expected.get(p, RationalFunction.constant(series.coefficient_symbol, 0))
@@ -220,9 +220,7 @@ def _rf_m(num: Polynomial | int | Fraction, den: Polynomial | int | Fraction = 1
 
 def _trace_moment(n: int, regime: str, order: int) -> TruncatedSeries:
     """<Tr(Q**n)>/M in the requested regime."""
-    series = power_sum_moment((n,), RegimeRequest(
-        regime, operand_order(regime, order, m_power=-1)))
-    return series.times_power(SYM_M, -1).truncate(order)
+    return _normalised_power_sum((n,), 1, regime, order)
 
 
 _M_SQ = Polynomial(SYM_M, (0, 0, 1))

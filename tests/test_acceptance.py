@@ -242,10 +242,12 @@ def test_criterion_4_moment_cumulant_round_trip():
 def _first_omitted(series_hi, order_lo: int, m_value, gamma_value) -> Fraction:
     x = {VAR_INV_M: Fraction(1) / m_value, VAR_GAMMA: Fraction(gamma_value),
          VAR_INV_GAMMA: Fraction(1) / gamma_value}[series_hi.variable]
+    # inv-m coefficients are rational in g, the others in M.
+    c_at = m_value if series_hi.coefficient_symbol == SYM_M else gamma_value
     for p in range(order_lo + 1, series_hi.order + 1):
         c = series_hi.coefficient(p)
         if not c.is_zero:
-            return abs(c.evaluate(m_value)) * abs(x) ** p
+            return abs(c.evaluate(c_at)) * abs(x) ** p
     return Fraction(0)
 
 

@@ -173,6 +173,54 @@ def series(variable, coeffs, order, **kw):
     return TruncatedSeries(variable, coeffs, order, **kw)
 
 
+class TestExpand:
+    def test_at_zero_and_at_infinity(self):
+        c = RationalFunction(pg(2, 0, 1), pg(1, 1) ** 6)
+        low = c.expand(VAR_GAMMA, 3)
+        assert low.coefficient_symbol == "M" and low.min_power == 0
+        assert [low.coefficient(j) for j in range(4)] == [2, -12, 43, -118]
+        high = c.expand(VAR_INV_GAMMA, 6)
+        assert high.min_power == 4 and dict(high.coeffs) == {4: 1, 5: -6, 6: 23}
+        m = RationalFunction(pm(0, 0, 1), pm(-1, 0, 1)).expand(VAR_INV_M, 4)
+        assert m.coefficient_symbol == "g" and dict(m.coeffs) == {0: 1, 2: 1, 4: 1}
+
+    def test_leading_power_may_be_negative(self):
+        pole = RationalFunction(pg(1, 1), pg(0, 0, 1))       # (1+g)/g^2
+        s = pole.expand(VAR_GAMMA, 2)
+        assert s.min_power == -2 and dict(s.coeffs) == {-2: 1, -1: 1}
+        growth = RationalFunction(pg(0, 0, 1, 2), pg(3, 1))  # g^2(1+2g)/(3+g)
+        s = growth.expand(VAR_INV_GAMMA, 1)
+        assert s.min_power == -2 and dict(s.coeffs) == {-2: 2, -1: -5, 0: 15, 1: -45}
+        s = growth.expand(VAR_GAMMA, 4)
+        assert s.min_power == 2
+        assert dict(s.coeffs) == {2: Fraction(1, 3), 3: Fraction(5, 9),
+                                  4: Fraction(-5, 27)}
+        below = growth.expand(VAR_INV_GAMMA, -5)
+        assert below.is_zero and below.min_power == -2
+
+    def test_zero_and_foreign_variable(self):
+        assert RationalFunction.constant("g", 0).expand(VAR_GAMMA, 3).is_zero
+        with pytest.raises(VariableMismatchError):
+            RationalFunction(pm(1, 1)).expand(VAR_GAMMA, 2)
+        with pytest.raises(VariableMismatchError):
+            RationalFunction(pg(1, 1)).expand(VAR_INV_M, 2)
+
+    @given(num=st.lists(small_fraction, min_size=1, max_size=4),
+           den=st.lists(small_fraction, min_size=1, max_size=4),
+           order=st.integers(min_value=0, max_value=5))
+    @settings(max_examples=40)
+    def test_expansion_times_denominator_is_numerator(self, num, den, order):
+        if not any(den) or not any(num):
+            return
+        f = RationalFunction(pg(*num), pg(*den))
+        for variable in (VAR_GAMMA, VAR_INV_GAMMA):
+            prod = f.expand(variable, order) * \
+                RationalFunction(pg(*den)).expand(variable, order)
+            want = RationalFunction(pg(*num)).expand(variable, prod.order)
+            for p in range(min(prod.min_power, want.min_power), prod.order + 1):
+                assert prod.coefficient(p) == want.coefficient(p)
+
+
 class TestTruncatedSeries:
     def test_square_of_alternating(self):
         s = series(VAR_GAMMA, {0: 1, 1: -1, 2: 1}, 2)

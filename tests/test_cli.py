@@ -7,6 +7,13 @@ from pathlib import Path
 import pytest
 
 import delaymoments
+from delaymoments import reference
+from delaymoments.algebra import (
+    VAR_GAMMA,
+    VAR_INV_GAMMA,
+    Polynomial,
+    RationalFunction,
+)
 from delaymoments.cli import (
     document_from_json,
     load_config,
@@ -247,6 +254,18 @@ def test_eval_beyond_float_range(argv):
     assert len(mantissa.lstrip("-")) == 14 and int(exponent) > 308
 
 
+def test_eval_first_omitted_term_beyond_float_range():
+    # The estimate, about g/M^4 = 10^600 at M = g = 10^-200, overflows a
+    # float, so it takes the exact decimal path, which must run on the
+    # oldest supported Python too.  M equals g, so the estimate does not
+    # depend on which of the two the inv-m coefficient is evaluated at.
+    tiny = "1/1" + "0" * 200
+    code, out, err = run_cold("eval", "--wigner-moment", "1", "--m-value", tiny,
+                              "--gamma-value", tiny, "--order-inv-m", "2")
+    assert code == 0 and "Traceback" not in err
+    assert "first omitted term ~ 1.000000e+600)" in out
+
+
 def test_eval_requires_an_order(capsys):
     code, _, err = run_cli(
         capsys, "eval", "--variance", "--m-value", "20", "--gamma-value", "1")
@@ -281,6 +300,22 @@ def test_verify_json_block(capsys):
     payload = json.loads(out[out.index("{"):])
     assert payload["scope"] == "section5"
     assert all(r["passed"] for r in payload["results"])
+
+
+@pytest.mark.parametrize("coeff,window", [
+    # A pole at g = 0: the expansion opens at g^-1.
+    (RationalFunction(Polynomial("g", (2, 0, 1)), Polynomial("g", (0, 1))),
+     (VAR_GAMMA, {0: 2, 1: -12}, 1)),
+    # Growth at infinity: the expansion in 1/g opens at (1/g)^-2.
+    (RationalFunction(Polynomial("g", (0, 0, 1))), (VAR_INV_GAMMA, {4: 1}, 4)),
+], ids=["pole-at-zero", "growth-at-infinity"])
+def test_verify_failed_expansion_is_a_hard_failure(monkeypatch, capsys, coeff, window):
+    check = reference._expansion_check("probe", "intro", "probe coefficient",
+                                       lambda: coeff, (window,))
+    monkeypatch.setattr(reference, "all_checks", lambda *args, **kwargs: [check])
+    code, out, err = run_cli(capsys, "verify", "--scope", "intro")
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL [HARD] probe: probe coefficient  (")
 
 
 def test_conjecture_command(capsys):
