@@ -32,6 +32,8 @@ from .algebra import (
 )
 from .partitions import Partition
 from .stats import (
+    SCOPES,
+    STATISTICS,
     RegimeRequest,
     StatisticRequest,
     compute_statistic,
@@ -88,47 +90,33 @@ def load_config(path: str | None) -> dict[str, int]:
     return config
 
 
+# argparse options per kind of STATISTICS argument.  A flag without an
+# argument stores True, else None, so "was this flag given" is `is not None`
+# for every flag (an index of 0 is given, and then refused).
+_ARGUMENT_OPTIONS = {
+    "partition": {"type": _partition_arg, "metavar": "PARTITION"},
+    "n": {"type": int, "metavar": "N"},
+    None: {"action": "store_const", "const": True},
+}
+
+
 def _add_statistic_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--schur", type=_partition_arg, metavar="PARTITION",
-                       help="Schur moment of the time-delay operator")
-    group.add_argument("--trace-powers", type=_partition_arg, metavar="PARTITION",
-                       help="moment of the product of traces Tr(Q^part_i)")
-    group.add_argument("--wigner-moment", type=int, metavar="N",
-                       help="n-th moment of the normalized time delay")
-    group.add_argument("--cumulant", type=int, metavar="N",
-                       help="n-th cumulant of the normalized time delay")
-    group.add_argument("--variance", action="store_true",
-                       help="variance of the normalized time delay")
+    for kind, stat in STATISTICS.items():
+        group.add_argument(f"--{stat.selector}", dest=kind, help=stat.help,
+                           **_ARGUMENT_OPTIONS[stat.argument])
 
 
 def _statistic_request(args, regime: str, order: int) -> StatisticRequest:
-    req = RegimeRequest(regime, order)
-    if args.schur is not None:
-        if not args.schur:
-            raise UsageError("the Schur moment needs a non-empty partition")
-        return StatisticRequest("schur_q", req, partition=args.schur)
-    if args.trace_powers is not None:
-        if not args.trace_powers:
-            raise UsageError("trace powers need a non-empty partition")
-        return StatisticRequest("power_sum", req, partition=args.trace_powers)
-    if args.wigner_moment is not None:
-        if args.wigner_moment < 1:
-            raise UsageError("the moment index must be at least 1")
-        return StatisticRequest("wigner_moment", req, n=args.wigner_moment)
-    if args.cumulant is not None:
-        if args.cumulant < 1:
-            raise UsageError("the cumulant index must be at least 1")
-        return StatisticRequest("cumulant", req, n=args.cumulant)
-    return StatisticRequest("variance", req)
+    kind = next(k for k in STATISTICS if getattr(args, k) is not None)
+    argument = STATISTICS[kind].argument
+    values = {argument: getattr(args, kind)} if argument else {}
+    return StatisticRequest(kind, RegimeRequest(regime, order), **values)
 
 
 def _request_label(sreq: StatisticRequest) -> dict:
-    kind = {"schur_q": "schur", "power_sum": "trace-powers",
-            "wigner_moment": "wigner-moment", "cumulant": "cumulant",
-            "variance": "variance"}[sreq.kind]
     return {
-        "kind": kind,
+        "kind": STATISTICS[sreq.kind].selector,
         "partition": str(sreq.partition) if sreq.partition is not None else None,
         "n": sreq.n,
         "regime": _REGIME_NAMES[sreq.request.regime],
@@ -160,38 +148,8 @@ def render_json(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def document_from_json(text: str) -> dict:
-    """Parse an emitted document back into its canonical dict form."""
-    raw = json.loads(text)
-    return {
-        "schema_version": int(raw["schema_version"]),
-        "request": {
-            "kind": raw["request"]["kind"],
-            "partition": raw["request"]["partition"],
-            "n": raw["request"]["n"],
-            "regime": raw["request"]["regime"],
-            "order": int(raw["request"]["order"]),
-        },
-        "terms": [{"power": int(t["power"]),
-                   "coeff": {"num": [str(c) for c in t["coeff"]["num"]],
-                             "den": [str(c) for c in t["coeff"]["den"]],
-                             "symbol": t["coeff"]["symbol"],
-                             "factored": t["coeff"]["factored"]}}
-                  for t in raw["terms"]],
-        "guarantee_order": int(raw["guarantee_order"]),
-    }
-
-
 def _statistic_title(sreq: StatisticRequest) -> str:
-    if sreq.kind == "schur_q":
-        return f"Schur moment, shape {sreq.partition}"
-    if sreq.kind == "power_sum":
-        return f"trace-power moment, exponents {sreq.partition}"
-    if sreq.kind == "wigner_moment":
-        return f"Wigner time delay moment, n={sreq.n}"
-    if sreq.kind == "cumulant":
-        return f"Wigner time delay cumulant, n={sreq.n}"
-    return "Wigner time delay variance"
+    return STATISTICS[sreq.kind].title.format(partition=sreq.partition, n=sreq.n)
 
 
 def _variable_symbol(variable: str) -> tuple[str, int]:
@@ -421,9 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.set_defaults(func=cmd_series)
 
     p_verify = sub.add_parser("verify", help="run the reference checks")
-    p_verify.add_argument("--scope", default="all",
-                          choices=("all", "intro", "section3", "section4",
-                                   "section5", "conjectures"))
+    p_verify.add_argument("--scope", default="all", choices=("all", *SCOPES))
     p_verify.add_argument("--strict", action="store_true",
                           help="soft findings also fail the run")
     p_verify.add_argument("--n-max", type=int, default=4,

@@ -4,6 +4,13 @@ Trace-power moments come from Schur moments through symmetric-group
 characters, the normalized time delay tau_W = Tr(Q)/M has moments given by
 dimension-weighted Schur moments, and cumulants follow from the standard
 moment-cumulant recursion.  Everything stays in exact series arithmetic.
+
+`STATISTICS` declares each statistic the command line offers once: its
+selector (the CLI flag and the JSON `kind`), the argument it takes, its
+title, its flag help and its compute function.  `StatisticRequest`
+validates a request against its row.  `Check` is the one check type of the
+reference registry and the conjecture validators, and `SCOPES` names the
+groups `verify` runs.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .algebra import (
     TruncatedSeries,
     operand_order,
 )
-from .engine import delay_schur_moment, reflection_schur_moment
+from .engine import delay_schur_moment
 from .partitions import (
     Partition,
     PartitionLike,
@@ -49,13 +56,13 @@ class RegimeRequest:
             raise ValueError("order must be non-negative")
 
 
-STATISTIC_KINDS = ("schur_q", "schur_r", "power_sum", "wigner_moment",
-                   "cumulant", "variance")
-
-
 @dataclass(frozen=True)
 class StatisticRequest:
-    """A statistic to compute: kind plus its label and the regime request."""
+    """A statistic to compute: its `STATISTICS` kind, the one argument that
+    kind takes (`partition` or `n`, else neither) and the regime request.
+
+    A partition is stored through `as_parts`, so a list becomes a
+    `Partition`."""
 
     kind: str
     request: RegimeRequest
@@ -63,13 +70,18 @@ class StatisticRequest:
     n: int | None = None
 
     def __post_init__(self):
-        if self.kind not in STATISTIC_KINDS:
+        if self.kind not in STATISTICS:
             raise ValueError(f"unknown statistic kind {self.kind!r}")
-        if self.kind in ("schur_q", "power_sum") and not self.partition:
-            raise ValueError(f"{self.kind} needs a non-empty partition")
-        if self.kind == "schur_r" and self.partition is None:
-            raise ValueError("schur_r needs a partition")
-        if self.kind in ("wigner_moment", "cumulant") and (self.n is None or self.n < 1):
+        takes = STATISTICS[self.kind].argument
+        for name in ("partition", "n"):
+            if name != takes and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} takes no {name}")
+        if takes == "partition":
+            if self.partition is not None:
+                object.__setattr__(self, "partition", as_parts(self.partition))
+            if not self.partition:
+                raise ValueError(f"{self.kind} needs a non-empty partition")
+        if takes == "n" and (self.n is None or self.n < 1):
             raise ValueError(f"{self.kind} needs n >= 1")
 
 
@@ -143,24 +155,58 @@ def moments_from_cumulants(cums: dict[int, TruncatedSeries], n: int) -> Truncate
     return moments[n]
 
 
+@dataclass(frozen=True)
+class Statistic:
+    """One row of `STATISTICS`.  `argument` names the request field the
+    statistic takes ("partition", "n" or None), and `title` is formatted
+    with the request's `partition` and `n`."""
+
+    selector: str
+    argument: str | None
+    title: str
+    help: str
+    compute: Callable[[StatisticRequest], TruncatedSeries]
+
+
+# Keyed by StatisticRequest kind, in the order the CLI lists the flags.  The
+# compute functions look their target up when called, so a rebinding of the
+# module attribute (a tracer, a test double) is seen.
+STATISTICS: dict[str, Statistic] = {
+    "schur_q": Statistic(
+        "schur", "partition", "Schur moment, shape {partition}",
+        "Schur moment of the time-delay operator",
+        lambda s: delay_schur_moment(s.partition, s.request.regime, s.request.order)),
+    "power_sum": Statistic(
+        "trace-powers", "partition", "trace-power moment, exponents {partition}",
+        "moment of the product of traces Tr(Q^part_i)",
+        lambda s: power_sum_moment(s.partition, s.request)),
+    "wigner_moment": Statistic(
+        "wigner-moment", "n", "Wigner time delay moment, n={n}",
+        "n-th moment of the normalized time delay",
+        lambda s: wigner_moment(s.n, s.request)),
+    "cumulant": Statistic(
+        "cumulant", "n", "Wigner time delay cumulant, n={n}",
+        "n-th cumulant of the normalized time delay",
+        lambda s: cumulant(s.n, s.request)),
+    "variance": Statistic(
+        "variance", None, "Wigner time delay variance",
+        "variance of the normalized time delay",
+        lambda s: variance(s.request)),
+}
+
+
 def compute_statistic(sreq: StatisticRequest) -> TruncatedSeries:
-    req = sreq.request
-    if sreq.kind == "schur_q":
-        return delay_schur_moment(sreq.partition, req.regime, req.order)
-    if sreq.kind == "schur_r":
-        return reflection_schur_moment(sreq.partition, req.regime, req.order)
-    if sreq.kind == "power_sum":
-        return power_sum_moment(sreq.partition, req)
-    if sreq.kind == "wigner_moment":
-        return wigner_moment(sreq.n, req)
-    if sreq.kind == "cumulant":
-        return cumulant(sreq.n, req)
-    return variance(req)
+    return STATISTICS[sreq.kind].compute(sreq)
 
 
 # --------------------------------------------------------------------------
 # Checks: a named comparison run on demand; the reference registry and the
 # conjectured patterns below share this one type.
+
+
+# The groups of checks `verify --scope` selects; a registered check's key
+# starts with its scope.
+SCOPES = ("intro", "section3", "section4", "section5", "conjectures")
 
 
 @dataclass(frozen=True)

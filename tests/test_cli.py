@@ -15,10 +15,19 @@ from delaymoments.algebra import (
     RationalFunction,
 )
 from delaymoments.cli import (
-    document_from_json,
+    document_for_series,
     load_config,
     main,
     render_json,
+    render_latex,
+    render_text,
+)
+from delaymoments.stats import (
+    SCOPES,
+    STATISTICS,
+    RegimeRequest,
+    StatisticRequest,
+    compute_statistic,
 )
 
 
@@ -104,7 +113,7 @@ def test_series_json_round_trip(capsys):
     _, out, _ = run_cli(
         capsys, "series", "--wigner-moment", "1", "--regime", "inv-gamma",
         "--order", "5", "--format", "json")
-    document = document_from_json(out)
+    document = json.loads(out)
     assert render_json(document) == out
     assert document["schema_version"] == 1
     assert document["request"]["regime"] == "inv-gamma"
@@ -141,6 +150,42 @@ def test_series_rejects_bad_partition(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--wigner-moment", "0"), ("--cumulant", "0"), ("--cumulant", "-1"),
+    ("--schur", "0"), ("--trace-powers", "0"),
+], ids=" ".join)
+def test_series_rejects_an_empty_selector(capsys, argv):
+    # An index of 0 is a given flag, so it is refused, not taken as absent.
+    code, out, err = run_cli(capsys, "series", *argv, "--regime", "gamma",
+                             "--order", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Every STATISTICS row with a sample argument (a partition given as a list)
+# and the title it renders with.
+TITLES = {
+    "schur_q": ({"partition": [2, 1]}, "Schur moment, shape 2,1"),
+    "power_sum": ({"partition": [2, 1]}, "trace-power moment, exponents 2,1"),
+    "wigner_moment": ({"n": 2}, "Wigner time delay moment, n=2"),
+    "cumulant": ({"n": 2}, "Wigner time delay cumulant, n=2"),
+    "variance": ({}, "Wigner time delay variance"),
+}
+
+
+@pytest.mark.parametrize("kind", STATISTICS)
+def test_every_statistic_renders(kind):
+    argument, title = TITLES[kind]
+    sreq = StatisticRequest(kind, RegimeRequest(VAR_GAMMA, 1), **argument)
+    series = compute_statistic(sreq)
+    assert render_text(sreq, series).startswith(f"statistic: {title}\n")
+    assert render_latex(sreq, series).endswith(r" + O(\gamma^{2})" + "\n")
+    request = document_for_series(sreq, series)["request"]
+    assert request["kind"] == STATISTICS[kind].selector
+    assert request["partition"] == ("2,1" if "partition" in argument else None)
+    assert request["n"] == argument.get("n")
+
+
 def test_series_rejects_unknown_regime(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["series", "--schur", "1", "--regime", "bogus", "--order", "0"])
@@ -163,7 +208,7 @@ def test_series_out_file(tmp_path, capsys):
         capsys, "series", "--variance", "--regime", "gamma", "--order", "0",
         "--format", "json", "--out", str(target))
     assert code == 0 and out == ""
-    document = document_from_json(target.read_text())
+    document = json.loads(target.read_text())
     assert document["request"]["kind"] == "variance"
 
 
@@ -310,12 +355,19 @@ def test_verify_json_block(capsys):
     (RationalFunction(Polynomial("g", (0, 0, 1))), (VAR_INV_GAMMA, {4: 1}, 4)),
 ], ids=["pole-at-zero", "growth-at-infinity"])
 def test_verify_failed_expansion_is_a_hard_failure(monkeypatch, capsys, coeff, window):
-    check = reference._expansion_check("probe", "intro", "probe coefficient",
+    check = reference._expansion_check("intro.probe", "probe coefficient",
                                        lambda: coeff, (window,))
     monkeypatch.setattr(reference, "all_checks", lambda *args, **kwargs: [check])
     code, out, err = run_cli(capsys, "verify", "--scope", "intro")
     assert code == 1 and err == ""
-    assert out.startswith("FAIL [HARD] probe: probe coefficient  (")
+    assert out.startswith("FAIL [HARD] intro.probe: probe coefficient  (")
+
+
+def test_every_check_is_scoped_by_its_key_prefix():
+    checks = reference.all_checks("all")
+    assert {c.scope for c in checks} == set(SCOPES)
+    for check in checks:
+        assert check.scope == check.key.split(".", 1)[0], check.key
 
 
 def test_conjecture_command(capsys):

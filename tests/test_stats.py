@@ -95,14 +95,32 @@ def test_compute_statistic_dispatch():
     assert compute_statistic(sr) == variance(req)
     sr = StatisticRequest("wigner_moment", req, n=2)
     assert compute_statistic(sr) == wigner_moment(2, req)
-    sr = StatisticRequest("schur_r", req, partition=Partition())
-    assert compute_statistic(sr).coefficient(0) == RationalFunction(pm(1))
     with pytest.raises(ValueError):
         StatisticRequest("cumulant", req)
     with pytest.raises(ValueError):
         StatisticRequest("schur_q", req, partition=Partition())
     with pytest.raises(ValueError):
         StatisticRequest("nonsense", req)
+
+
+def test_statistic_request_normalises_its_partition():
+    from delaymoments.partitions import Partition
+
+    sr = StatisticRequest("schur_q", RegimeRequest(VAR_GAMMA, 1), partition=[2, 1])
+    assert type(sr.partition) is Partition and sr.partition == (2, 1)
+    assert str(sr.partition) == "2,1"
+    with pytest.raises(ValueError):
+        StatisticRequest("power_sum", RegimeRequest(VAR_GAMMA, 1), partition=[1, 2])
+
+
+@pytest.mark.parametrize("kind,argument", [
+    ("variance", {"n": 7}), ("variance", {"partition": (1,)}),
+    ("wigner_moment", {"n": 2, "partition": (1,)}),
+    ("schur_q", {"partition": (1,), "n": 1}),
+])
+def test_statistic_request_rejects_a_stray_argument(kind, argument):
+    with pytest.raises(ValueError, match="takes no"):
+        StatisticRequest(kind, RegimeRequest(VAR_GAMMA, 1), **argument)
 
 
 def test_validate_conjectures_small():
