@@ -36,6 +36,12 @@ COEFF_SYMBOL = {variable: next(s for s, e in powers.items() if not e)
                 for variable, powers in VARIABLE_POWER.items()}
 
 
+def require_int(name: str, value) -> None:
+    """Refuse an order or index that is not an int, at the call."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def operand_order(variable: str, order: int, m_power: int = 0, g_power: int = 0) -> int:
     """Order an operand needs for its product with M**m_power * g**g_power
     to be exact through `order`; never below 0."""
@@ -897,9 +903,11 @@ class TruncatedSeries:
     """Laurent-type series in one expansion variable with exact coefficients.
 
     `coeffs` maps power -> RationalFunction in the complementary symbol.
-    Powers up to `order` are guaranteed exact; `min_power` is a sound lower
-    bound below which all coefficients vanish identically.  Truncation is
-    tracked pessimistically through every operation.  Instances are
+    Powers up to `order` are guaranteed exact, so the lowest non-zero one is
+    the exact leading power, `min_power`; with none, `min_power` is the
+    larger of order + 1 and the `min_power` argument, a leading power known
+    beyond the window.  A product a*b is exact through
+    min(a.order + b.min_power, b.order + a.min_power).  Instances are
     immutable: `coeffs` is a read-only mapping.
     """
 
@@ -922,12 +930,11 @@ class TruncatedSeries:
                 raise VariableMismatchError(
                     f"coefficients of a {variable} series live in {sym!r}")
             clean[p] = c
-        if min_power is None:
-            min_power = min(clean) if clean else order + 1
         _setattr(self, "variable", variable)
         _setattr(self, "coeffs", MappingProxyType(clean))
         _setattr(self, "order", order)
-        _setattr(self, "min_power", min(min_power, min(clean) if clean else min_power))
+        floor = order + 1 if min_power is None else max(order + 1, min_power)
+        _setattr(self, "min_power", min(clean, default=floor))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -966,16 +973,14 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._require_same_variable(other)
-        order = min(self.order, other.order)
         out: dict[int, RationalFunction] = dict(self.coeffs)
         for p, c in other.coeffs.items():
             out[p] = out[p] + c if p in out else c
-        return TruncatedSeries(self.variable, out, order,
-                               min_power=min(self.min_power, other.min_power))
+        return TruncatedSeries(self.variable, out, min(self.order, other.order))
 
     def __neg__(self) -> TruncatedSeries:
         return TruncatedSeries(self.variable, {p: -c for p, c in self.coeffs.items()},
-                               self.order, self.min_power)
+                               self.order)
 
     def __sub__(self, other) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
@@ -995,8 +1000,7 @@ class TruncatedSeries:
                 prod = a * b
                 key = p + q
                 out[key] = out[key] + prod if key in out else prod
-        return TruncatedSeries(self.variable, out, order,
-                               min_power=self.min_power + other.min_power)
+        return TruncatedSeries(self.variable, out, order)
 
     def scale(self, factor) -> TruncatedSeries:
         """Multiply every coefficient by a scalar in the coefficient symbol."""
@@ -1004,17 +1008,13 @@ class TruncatedSeries:
             factor = RationalFunction.constant(self.coefficient_symbol, factor)
         elif isinstance(factor, Polynomial):
             factor = RationalFunction(factor)
-        if factor.is_zero:
-            return TruncatedSeries.zero(self.variable, self.order)
-        return TruncatedSeries(self.variable,
-                               {p: c * factor for p, c in self.coeffs.items()},
-                               self.order, self.min_power)
+        return TruncatedSeries(self.variable, {p: c * factor for p, c in self.coeffs.items()},
+                               self.order)
 
     def shift_power(self, k: int) -> TruncatedSeries:
         """Multiply by the expansion variable to the k-th power (exact)."""
-        return TruncatedSeries(self.variable,
-                               {p + k: c for p, c in self.coeffs.items()},
-                               self.order + k, self.min_power + k)
+        return TruncatedSeries(self.variable, {p + k: c for p, c in self.coeffs.items()},
+                               self.order + k)
 
     def times_power(self, symbol: str, k: int) -> TruncatedSeries:
         """Multiply by symbol**k (exact): shifts the powers when the symbol
@@ -1035,7 +1035,7 @@ class TruncatedSeries:
             return self
         return TruncatedSeries(self.variable,
                                {p: c for p, c in self.coeffs.items() if p <= order},
-                               order, self.min_power)
+                               order)
 
     def times_m_polynomial(self, p: Polynomial) -> TruncatedSeries:
         """Multiply by a polynomial in M: scales when M is the coefficient
@@ -1060,8 +1060,7 @@ class TruncatedSeries:
                     continue
                 term = a * c
                 out[key] = out[key] + term if key in out else term
-        return TruncatedSeries(self.variable, out, order,
-                               min_power=self.min_power + e * p.degree)
+        return TruncatedSeries(self.variable, out, order)
 
     def evaluate(self, m_value, gamma_value) -> Fraction:
         """Exact value of the truncated sum at rational M and absorption values."""

@@ -33,6 +33,7 @@ from .algebra import (
     RationalFunction,
     TruncatedSeries,
     operand_order,
+    require_int,
 )
 from .partitions import (
     PartitionLike,
@@ -186,6 +187,7 @@ def reflection_schur_moment(mu: PartitionLike, regime: str, order: int) -> Trunc
     The returned series is exact for every power up to `order`.
     """
     mp = as_parts(mu)
+    require_int("order", order)
     if regime == VAR_INV_M:
         return _reflection_inv_m(mp, order)
     if regime == VAR_GAMMA:
@@ -260,7 +262,7 @@ def _reflection_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
         coeffs[m] = RationalFunction.from_root_terms(
             SYM_M, terms, Fraction((-1) ** m, t_sq * factorial(m) * factorial(n + m)),
             num_roots=rising_roots + [0] * m)
-    return TruncatedSeries(VAR_GAMMA, coeffs, order, min_power=0)
+    return TruncatedSeries(VAR_GAMMA, coeffs, order)
 
 
 @cache
@@ -304,8 +306,7 @@ def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
         coeffs[k] = RationalFunction.from_root_terms(
             SYM_M, terms, Fraction((-1) ** (n + k), t_sq * factorial(k)),
             num_roots=rising_roots * 2, den_roots=[0] * k)
-    return TruncatedSeries(VAR_INV_GAMMA, coeffs, order,
-                           min_power=min(n, order + 1))
+    return TruncatedSeries(VAR_INV_GAMMA, coeffs, order)
 
 
 def delay_schur_moment(lam: PartitionLike, regime: str, order: int) -> TruncatedSeries:
@@ -321,6 +322,7 @@ def delay_schur_moment(lam: PartitionLike, regime: str, order: int) -> Truncated
     if not lp:
         raise ValueError("the empty shape has the constant moment 1; "
                          "request a non-empty partition")
+    require_int("order", order)
     if order < 0:
         raise ValueError("order must be non-negative")
     if regime not in VARIABLES:
@@ -333,6 +335,8 @@ def _delay_schur_moment(lp: tuple[int, ...], regime: str, order: int) -> Truncat
     # The same transform serves every regime: the table in `algebra` says
     # how the factor B(M) and the division by g**|lam| move the powers, and
     # `operand_order` how many powers each reflection moment must carry.
+    # A gamma moment that passes the cancellation check leads at g^0 or
+    # above; the series reads that from its coefficients.
     weight = sum(lp)
     total = TruncatedSeries.zero(regime, operand_order(regime, order, 0, -weight))
     for mu in subpartitions(lp):
@@ -341,12 +345,8 @@ def _delay_schur_moment(lp: tuple[int, ...], regime: str, order: int) -> Truncat
         term = inner.times_m_polynomial(binomial_determinant(lp, mu))
         total = total + (-term if mu.weight % 2 else term)
     total = total.times_power(SYM_G, -weight)
-    if regime == VAR_GAMMA:
-        for p in sorted(total.coeffs):
-            if p < 0:
-                raise InternalConsistencyError(
-                    f"transform of {lp} left a non-zero coefficient "
-                    f"at g^{p + weight}; the leading {weight} powers must cancel")
-        # The check proves the bound 0; products derive their order from it.
-        total = TruncatedSeries(VAR_GAMMA, total.coeffs, total.order, min_power=0)
+    if regime == VAR_GAMMA and total.min_power < 0:
+        raise InternalConsistencyError(
+            f"transform of {lp} left a non-zero coefficient "
+            f"at g^{total.min_power + weight}; the leading {weight} powers must cancel")
     return total.truncate(order)

@@ -71,12 +71,8 @@ def _soft_check(key: str, description: str,
 def _series_check(key: str, description: str,
                   compute: Callable[[], TruncatedSeries],
                   expected: dict[int, RationalFunction]) -> Check:
-    """Match every power 0..order of the computed series with `expected`."""
-    def run() -> tuple[bool, str]:
-        series = compute()
-        return match_window(series, expected, 0, series.order)
-
-    return _hard_check(key, description, run)
+    """Match the computed series with `expected` through its order."""
+    return _hard_check(key, description, lambda: match_window(compute(), expected))
 
 
 # Frozen cross-validated value of the leading 1/M^4 coefficient of the third
@@ -109,13 +105,10 @@ _Window = tuple[str, dict[int, int], int]
 
 def _expansion_match(coeff: RationalFunction,
                      windows: tuple[_Window, ...]) -> tuple[bool, str]:
-    """Expand `coeff` in each (variable, expected, hi) window and match its
-    powers from the leading one (or the first expected one, if lower)
-    through hi; absent powers must vanish."""
+    """Expand `coeff` in each (variable, expected, hi) window and match it
+    through hi in `match_window`'s default window."""
     for variable, expected, hi in windows:
-        series = coeff.expand(variable, hi)
-        ok, detail = match_window(series, expected,
-                                  min(series.min_power, *expected), hi)
+        ok, detail = match_window(coeff.expand(variable, hi), expected)
         if not ok:
             return False, f"{variable} expansion, {detail}"
     return True, ""

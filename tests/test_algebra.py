@@ -250,6 +250,17 @@ class TestTruncatedSeries:
         prod = a * b
         assert prod.order == 3 and prod.min_power == 1
 
+    def test_leading_power_is_read_from_the_coefficients(self):
+        # The difference opens at x^2 although both operands open at x, so
+        # its square is exact through 6 + 2.
+        d = series(VAR_INV_GAMMA, {1: 1, 2: 3}, 6) - series(VAR_INV_GAMMA, {1: 1, 2: 1}, 6)
+        assert d.min_power == 2 and (d * d).order == 8
+        assert d.scale(0).is_zero and d.scale(0).min_power == 7
+        # A given leading power counts only where no coefficient is left.
+        assert series(VAR_GAMMA, {2: 1}, 3, min_power=0).min_power == 2
+        assert series(VAR_GAMMA, {}, 3, min_power=1).min_power == 4
+        assert series(VAR_GAMMA, {}, 3, min_power=6).min_power == 6
+
     def test_truncate_cannot_extend(self):
         s = series(VAR_GAMMA, {0: 1}, 2)
         assert s.truncate(1).order == 1

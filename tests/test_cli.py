@@ -37,14 +37,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cold(*argv):
-    """Run the CLI in a fresh interpreter; returns (exit code, stdout, stderr)."""
+def run_python(*args):
+    """Run python with `args` in a fresh interpreter that imports this
+    package; returns (exit code, stdout, stderr)."""
     src = str(Path(delaymoments.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "delaymoments.cli", *argv],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cold(*argv):
+    """Run the CLI in a fresh interpreter; returns (exit code, stdout, stderr)."""
+    return run_python("-m", "delaymoments.cli", *argv)
 
 
 SERIES_TEXT = {
@@ -353,7 +359,10 @@ def test_verify_json_block(capsys):
      (VAR_GAMMA, {0: 2, 1: -12}, 1)),
     # Growth at infinity: the expansion in 1/g opens at (1/g)^-2.
     (RationalFunction(Polynomial("g", (0, 0, 1))), (VAR_INV_GAMMA, {4: 1}, 4)),
-], ids=["pole-at-zero", "growth-at-infinity"])
+    # The expansion matches from its leading power g^2 on, but a power
+    # expected below it is missing.
+    (RationalFunction(Polynomial("g", (0, 0, 1))), (VAR_GAMMA, {1: 5, 2: 1}, 2)),
+], ids=["pole-at-zero", "growth-at-infinity", "expected-below-leading"])
 def test_verify_failed_expansion_is_a_hard_failure(monkeypatch, capsys, coeff, window):
     check = reference._expansion_check("intro.probe", "probe coefficient",
                                        lambda: coeff, (window,))
@@ -361,6 +370,17 @@ def test_verify_failed_expansion_is_a_hard_failure(monkeypatch, capsys, coeff, w
     code, out, err = run_cli(capsys, "verify", "--scope", "intro")
     assert code == 1 and err == ""
     assert out.startswith("FAIL [HARD] intro.probe: probe coefficient  (")
+
+
+def test_series_run_does_not_import_the_reference_registry():
+    # Only `verify` needs the registry; every other command skips its import.
+    code, out, err = run_python("-c", (
+        "import sys\n"
+        "import delaymoments.cli as cli\n"
+        "cli.main(['series', '--schur', '1', '--regime', 'inv-m', '--order', '0'])\n"
+        "sys.exit('delaymoments.reference' in sys.modules)\n"))
+    assert code == 0, err
+    assert out.startswith("statistic: Schur moment, shape 1\n")
 
 
 def test_every_check_is_scoped_by_its_key_prefix():

@@ -10,11 +10,15 @@ from delaymoments.algebra import (
     VAR_GAMMA,
     VAR_INV_GAMMA,
     VAR_INV_M,
+    VARIABLES,
 )
+from delaymoments.engine import delay_schur_moment, reflection_schur_moment
 from delaymoments.stats import (
+    STATISTICS,
     RegimeRequest,
     StatisticRequest,
     compute_statistic,
+    conjecture_checks,
     cumulant,
     moments_from_cumulants,
     power_sum_moment,
@@ -121,6 +125,42 @@ def test_statistic_request_normalises_its_partition():
 def test_statistic_request_rejects_a_stray_argument(kind, argument):
     with pytest.raises(ValueError, match="takes no"):
         StatisticRequest(kind, RegimeRequest(VAR_GAMMA, 1), **argument)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RegimeRequest(VAR_GAMMA, 1.5),
+    lambda: RegimeRequest(VAR_GAMMA, None),
+    lambda: StatisticRequest("cumulant", RegimeRequest(VAR_GAMMA, 2), n=2.5),
+    lambda: StatisticRequest("wigner_moment", RegimeRequest(VAR_GAMMA, 2)),
+    lambda: delay_schur_moment((1,), VAR_GAMMA, 2.0),
+    lambda: reflection_schur_moment((1,), VAR_INV_M, Fraction(3, 2)),
+    lambda: wigner_moment(2.0, RegimeRequest(VAR_GAMMA, 2)),
+    lambda: cumulant("2", RegimeRequest(VAR_GAMMA, 2)),
+    lambda: conjecture_checks(3.0),
+    lambda: validate_conjectures(2, order=0.5),
+], ids=["regime-order", "regime-order-none", "statistic-n", "statistic-n-missing",
+        "delay-order", "reflection-order", "wigner-n", "cumulant-n",
+        "conjecture-max-n", "conjecture-order"])
+def test_non_integer_order_or_index_is_refused_at_the_call(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("regime", VARIABLES)
+def test_leading_power_is_the_lowest_nonzero_coefficient(regime):
+    order = {VAR_GAMMA: 2, VAR_INV_GAMMA: 5, VAR_INV_M: 3}[regime]
+    args = {"partition": {"partition": (2, 1)}, "n": {"n": 2}, None: {}}
+    for kind, row in STATISTICS.items():
+        series = compute_statistic(StatisticRequest(
+            kind, RegimeRequest(regime, order), **args[row.argument]))
+        assert series.min_power == min(series.coeffs, default=series.order + 1), kind
+
+
+def test_leading_power_is_exact_not_a_bound():
+    # The strong-absorption variance opens at 1/g^4 and the large-M third
+    # cumulant at 1/M^4; a bound tracked through the operations gave 2 and 0.
+    assert cumulant(2, RegimeRequest(VAR_INV_GAMMA, 8)).min_power == 4
+    assert cumulant(3, RegimeRequest(VAR_INV_M, 6)).min_power == 4
 
 
 def test_validate_conjectures_small():
