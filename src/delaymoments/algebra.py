@@ -11,10 +11,10 @@ are exact, powers above it are never emitted.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 SYM_M = "M"
 SYM_G = "g"

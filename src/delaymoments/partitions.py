@@ -19,11 +19,11 @@ shapes this module generates are built without re-validation.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Mapping
 from functools import cache, wraps
 from itertools import accumulate
 from math import factorial, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 
 class WeightMismatchError(ValueError):

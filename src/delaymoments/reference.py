@@ -12,10 +12,9 @@ the check descriptions).
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections.abc import Callable
 from fractions import Fraction
 from math import factorial
-from typing import Callable
 
 from .algebra import (
     SYM_G,
@@ -359,6 +358,6 @@ def all_checks(scope: str = "all", conjecture_max_n: int = 4) -> list[Check]:
     """Registered checks for one scope (or all), in registration order."""
     checks = list(_CHECKS)
     if scope in ("all", "conjectures"):
-        checks += [replace(c, key=f"conjectures.{c.key}")
+        checks += [c._replace(key=f"conjectures.{c.key}")
                    for c in conjecture_checks(conjecture_max_n)]
     return [c for c in checks if scope in ("all", c.scope)]

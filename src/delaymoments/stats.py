@@ -15,11 +15,11 @@ groups `verify` runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, factorial
-from typing import Callable
 
 from .algebra import (
     SYM_G,
@@ -43,50 +43,54 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class RegimeRequest:
+# namedtuple's `_make`, and `_replace` through it, build the tuple without
+# calling `__new__`; a validating record routes both through its constructor.
+_validating_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class RegimeRequest(namedtuple("RegimeRequest", "regime order")):
     """Which expansion to compute and how many guaranteed powers to emit."""
 
-    regime: str
-    order: int
+    __slots__ = ()
+    _make = _validating_make
 
-    def __post_init__(self):
-        if self.regime not in VARIABLES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        require_int("order", self.order)
-        if self.order < 0:
+    def __new__(cls, regime: str, order: int):
+        if regime not in VARIABLES:
+            raise ValueError(f"unknown regime {regime!r}")
+        require_int("order", order)
+        if order < 0:
             raise ValueError("order must be non-negative")
+        return super().__new__(cls, regime, order)
 
 
-@dataclass(frozen=True)
-class StatisticRequest:
+class StatisticRequest(namedtuple("StatisticRequest", "kind request partition n")):
     """A statistic to compute: its `STATISTICS` kind, the one argument that
     kind takes (`partition` or `n`, else neither) and the regime request.
 
     A partition is stored through `as_parts`, so a list becomes a
     `Partition`."""
 
-    kind: str
-    request: RegimeRequest
-    partition: Partition | None = None
-    n: int | None = None
+    __slots__ = ()
+    _make = _validating_make
 
-    def __post_init__(self):
-        if self.kind not in STATISTICS:
-            raise ValueError(f"unknown statistic kind {self.kind!r}")
-        takes = STATISTICS[self.kind].argument
-        for name in ("partition", "n"):
-            if name != takes and getattr(self, name) is not None:
-                raise ValueError(f"{self.kind} takes no {name}")
+    def __new__(cls, kind: str, request: RegimeRequest,
+                partition: Partition | None = None, n: int | None = None):
+        if kind not in STATISTICS:
+            raise ValueError(f"unknown statistic kind {kind!r}")
+        takes = STATISTICS[kind].argument
+        for name, value in (("partition", partition), ("n", n)):
+            if name != takes and value is not None:
+                raise ValueError(f"{kind} takes no {name}")
         if takes == "partition":
-            if self.partition is not None:
-                object.__setattr__(self, "partition", as_parts(self.partition))
-            if not self.partition:
-                raise ValueError(f"{self.kind} needs a non-empty partition")
+            if partition is not None:
+                partition = as_parts(partition)
+            if not partition:
+                raise ValueError(f"{kind} needs a non-empty partition")
         if takes == "n":
-            require_int("n", self.n)
-            if self.n < 1:
-                raise ValueError(f"{self.kind} needs n >= 1")
+            require_int("n", n)
+            if n < 1:
+                raise ValueError(f"{kind} needs n >= 1")
+        return super().__new__(cls, kind, request, partition, n)
 
 
 def power_sum_moment(lam: PartitionLike, req: RegimeRequest) -> TruncatedSeries:
@@ -161,17 +165,13 @@ def moments_from_cumulants(cums: dict[int, TruncatedSeries], n: int) -> Truncate
     return moments[n]
 
 
-@dataclass(frozen=True)
-class Statistic:
+class Statistic(namedtuple("Statistic", "selector argument title help compute")):
     """One row of `STATISTICS`.  `argument` names the request field the
-    statistic takes ("partition", "n" or None), and `title` is formatted
-    with the request's `partition` and `n`."""
+    statistic takes ("partition", "n" or None), `title` is formatted with
+    the request's `partition` and `n`, and `compute` maps a
+    `StatisticRequest` to its `TruncatedSeries`."""
 
-    selector: str
-    argument: str | None
-    title: str
-    help: str
-    compute: Callable[[StatisticRequest], TruncatedSeries]
+    __slots__ = ()
 
 
 # Keyed by StatisticRequest kind, in the order the CLI lists the flags.  The
@@ -215,14 +215,9 @@ def compute_statistic(sreq: StatisticRequest) -> TruncatedSeries:
 SCOPES = ("intro", "section3", "section4", "section5", "conjectures")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    key: str
-    scope: str
-    hard: bool
-    passed: bool
-    description: str
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "key scope hard passed description detail",
+                             defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         kind = "HARD" if self.hard else "SOFT"
@@ -233,13 +228,10 @@ class CheckResult:
         return text
 
 
-@dataclass(frozen=True)
-class Check:
-    key: str
-    scope: str
-    hard: bool
-    description: str
-    run: Callable[[], tuple[bool, str]]
+class Check(namedtuple("Check", "key scope hard description run")):
+    """A named check: `run()` returns (passed, detail)."""
+
+    __slots__ = ()
 
     def execute(self) -> CheckResult:
         passed, detail = self.run()

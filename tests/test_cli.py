@@ -383,6 +383,19 @@ def test_series_run_does_not_import_the_reference_registry():
     assert out.startswith("statistic: Schur moment, shape 1\n")
 
 
+def test_cold_import_skips_the_code_generating_modules():
+    # Every request is a cold process, so start-up is paid per request.
+    # Without `site` (-S), no `.pth` file can import these first and mask a
+    # regression in the package's own imports.
+    code, out, err = run_python("-S", "-c", (
+        "import sys\n"
+        "import delaymoments.cli, delaymoments.reference\n"
+        "print(sorted(set(sys.modules) & {'dataclasses', 'inspect', 'ast',\n"
+        "                                 'dis', 'tokenize', 'typing'}))\n"))
+    assert code == 0, err
+    assert out == "[]\n"
+
+
 def test_every_check_is_scoped_by_its_key_prefix():
     checks = reference.all_checks("all")
     assert {c.scope for c in checks} == set(SCOPES)

@@ -373,6 +373,23 @@ def test_absorption_coefficients_match_independent_oracle(regime, order, oracle)
                         oracle(mu, p, m_value), (mu, p, m_value)
 
 
+def test_lossless_cavity_matches_the_inverse_wishart_law():
+    # At g = 0, Q = M W^-1 with W complex Wishart (M x M, 2M degrees of
+    # freedom), whose inverse moments are known in closed form (Graczyk,
+    # Letac and Massam, Ann. Statist. 31, 287 (2003)):
+    # <s_lam(Q)> = M^|lam| f^lam/|lam|! prod(M + c)/prod(M - c) over the
+    # cells.  The engine reaches g^0 through the transform, which cancels
+    # the |lam| leading powers of the reflection moments.
+    for weight in range(1, 8):
+        for lam in shapes(weight):
+            num = pm(Fraction(hook_dimension(lam), factorial(weight)))
+            den = pm(1)
+            for i, j in cells(lam):
+                num, den = num * pm(0, j - i, 1), den * pm(i - j, 1)
+            coeff = delay_schur_moment(lam, VAR_GAMMA, 0).coefficient(0)
+            assert coeff == RationalFunction(num, den), lam
+
+
 def test_absorption_coefficients_need_no_root_search(monkeypatch):
     # Their denominators are products of (M - content), or powers of (1 + g)
     # in the large-M regime, and the Wigner moments divide by M**n: every

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,10 @@ from delaymoments.algebra import (
 from delaymoments.engine import delay_schur_moment, reflection_schur_moment
 from delaymoments.stats import (
     STATISTICS,
+    Check,
+    CheckResult,
     RegimeRequest,
+    Statistic,
     StatisticRequest,
     compute_statistic,
     conjecture_checks,
@@ -110,11 +115,68 @@ def test_compute_statistic_dispatch():
 def test_statistic_request_normalises_its_partition():
     from delaymoments.partitions import Partition
 
-    sr = StatisticRequest("schur_q", RegimeRequest(VAR_GAMMA, 1), partition=[2, 1])
+    req = RegimeRequest(VAR_GAMMA, 1)
+    sr = StatisticRequest("schur_q", req, partition=[2, 1])
     assert type(sr.partition) is Partition and sr.partition == (2, 1)
     assert str(sr.partition) == "2,1"
+    for derived in (sr._replace(partition=[3, 1]),
+                    StatisticRequest._make(["schur_q", req, [3, 1], None])):
+        assert type(derived.partition) is Partition and derived.partition == (3, 1)
     with pytest.raises(ValueError):
-        StatisticRequest("power_sum", RegimeRequest(VAR_GAMMA, 1), partition=[1, 2])
+        StatisticRequest("power_sum", req, partition=[1, 2])
+    with pytest.raises(ValueError):
+        sr._replace(partition=[1, 2])
+
+
+def _passing():
+    return True, ""
+
+
+# Each record type: its fields in order, valid values for them and, for the
+# validating requests, a field value the constructor refuses.
+RECORDS = {
+    RegimeRequest: (("regime", "order"), (VAR_GAMMA, 2), {"order": -1}),
+    StatisticRequest: (("kind", "request", "partition", "n"),
+                       ("cumulant", RegimeRequest(VAR_INV_M, 3), None, 2),
+                       {"n": 0}),
+    Statistic: (("selector", "argument", "title", "help", "compute"),
+                ("variance", None, "variance", "the variance", variance), {}),
+    CheckResult: (("key", "scope", "hard", "passed", "description", "detail"),
+                  ("intro.probe", "intro", True, False, "probe", "power 0"), {}),
+    Check: (("key", "scope", "hard", "description", "run"),
+            ("intro.probe", "intro", True, "probe", _passing), {}),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_records_are_frozen_values_validated_on_every_path(cls):
+    fields, values, refused = RECORDS[cls]
+    record = cls(*values)
+    assert [getattr(record, f) for f in fields] == list(values)
+    assert record == cls(*values) and hash(record) == hash(cls(*values))
+    assert repr(record) == "{}({})".format(
+        cls.__name__, ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, values[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    for derived in (cls._make(values), record._replace(), copy.copy(record),
+                    copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(derived) is cls and derived == record
+
+    if not refused:
+        return
+    bad = [refused.get(f, v) for f, v in zip(fields, values)]
+    # A tuple built without the constructor, as namedtuple's own `_make`
+    # would build it: copying or unpickling it must validate.
+    unchecked = tuple.__new__(cls, bad)
+    for derive in (lambda: cls(*bad), lambda: cls._make(bad),
+                   lambda: record._replace(**refused),
+                   lambda: copy.copy(unchecked), lambda: copy.deepcopy(unchecked),
+                   lambda: pickle.loads(pickle.dumps(unchecked))):
+        with pytest.raises(ValueError):
+            derive()
 
 
 @pytest.mark.parametrize("kind,argument", [
