@@ -4,9 +4,9 @@ Every coefficient in this package is carried by these types; there is no
 floating point anywhere.  Scalars are `fractions.Fraction`, polynomials are
 dense univariate over a named symbol ("M" or "g" for the absorption
 strength), rational functions are reduced quotients stored with integer
-coefficients and a factored denominator, and series are Laurent-type
-truncations with a guaranteed order: coefficients of powers up to `order`
-are exact, powers above it are never emitted.
+coefficients and a denominator that splits over the integers, and series
+are Laurent-type truncations with a guaranteed order: coefficients of
+powers up to `order` are exact, powers above it are never emitted.
 """
 
 from __future__ import annotations
@@ -374,23 +374,6 @@ def _expand_roots(roots: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     return p
 
 
-def _exact_quotient(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """a / b for integer polynomials where b is primitive and divides a, so
-    the quotient is integral (Gauss's lemma)."""
-    _, quot = _integer_coeffs(Polynomial("x", a).exact_div(Polynomial("x", b)))
-    return tuple(quot)
-
-
-def _primitive_gcd(a: tuple[int, ...], b: tuple[int, ...], symbol: str) -> tuple[int, ...]:
-    """Primitive gcd, leading coefficient positive, of two non-zero integer
-    polynomials; the Euclidean `polynomial_gcd` runs only when neither is 1."""
-    if a == _ONE or b == _ONE:
-        return _ONE
-    _, g = _integer_coeffs(polynomial_gcd(Polynomial(symbol, a), Polynomial(symbol, b)))
-    content = int_gcd(*g)
-    return tuple(c // content for c in g)
-
-
 def _has_sign_change(cs: Iterable[int]) -> bool:
     signs = [c > 0 for c in cs if c]
     return any(s != t for s, t in zip(signs, signs[1:]))
@@ -437,45 +420,47 @@ def _split_integer_roots(cs: tuple[int, ...]) -> tuple[dict[int, int], tuple[int
     return roots, cs
 
 
-def _canonical(num: tuple[int, ...], content: int, roots: Iterable[tuple[int, int]],
-               residual: tuple[int, ...], symbol: str) -> tuple:
-    """Reduce num / (content * prod (x - r)**m * residual) to the canonical
-    fields of RationalFunction; `roots` is sorted by root."""
+def _canonical(num: tuple[int, ...], content: int,
+               roots: Iterable[tuple[int, int]]) -> tuple:
+    """Reduce num / (content * prod (x - r)**m) to the canonical fields of
+    RationalFunction; `roots` is sorted by root."""
     if not num:
-        return (), 1, (), _ONE
+        return (), 1, ()
     kept = []
     for r, m in roots:
         num, done = _divide_root(num, r, m)
         if done < m:
             kept.append((r, m - done))
-    if residual != _ONE and len(num) > 1:
-        common = _primitive_gcd(num, residual, symbol)
-        if common != _ONE:
-            num = _exact_quotient(num, common)
-            residual = _exact_quotient(residual, common)
     g = int_gcd(content, *num)
     if g > 1:
         num = tuple(c // g for c in num)
         content //= g
-    return num, content, tuple(kept), residual
+    return num, content, tuple(kept)
 
 
 def _quotient_fields(num: tuple[int, ...], den: tuple[int, ...], symbol: str) -> tuple:
-    """Canonical fields of num / den for integer polynomials, den non-zero."""
+    """Canonical fields of num / den for integer polynomials, den non-zero.
+
+    A zero num gives zero; otherwise a den with a factor that has no integer
+    root is refused with a ValueError naming that factor."""
+    if not num:
+        return (), 1, ()
     content = int_gcd(*den)
     if den[-1] < 0:
         content = -content
-    roots, residual = _split_integer_roots(tuple(c // content for c in den))
+    roots, rest = _split_integer_roots(tuple(c // content for c in den))
+    if len(rest) > 1:
+        raise ValueError(f"denominator factor {_poly_text(rest, symbol)} has no "
+                         "integer root; denominators must split over the integers")
     if content < 0:
         content, num = -content, tuple(-c for c in num)
-    return _canonical(num, content, sorted(roots.items()), residual, symbol)
+    return _canonical(num, content, sorted(roots.items()))
 
 
-def _factored_text(roots: Iterable[tuple[int, int]], residual: tuple[int, ...],
-                   const: Fraction | int, symbol_text: str, latex: bool = False) -> str:
-    """Denominator-style display of const * prod (x - r)**m * residual:
-    powers of the symbol, paired (M^2-a^2) factors or (1+g) factors, then
-    the residual without integer roots."""
+def _factored_text(roots: Iterable[tuple[int, int]], const: Fraction | int,
+                   symbol_text: str, latex: bool = False) -> str:
+    """Denominator-style display of const * prod (x - r)**m: powers of the
+    symbol, then paired (M^2-a^2) factors or (1+g) factors."""
 
     def power_text(base: str, mult: int) -> str:
         if mult == 1:
@@ -508,8 +493,6 @@ def _factored_text(roots: Iterable[tuple[int, int]], residual: tuple[int, ...],
                 body = f"({symbol_text}-{r})"
             factors.append(power_text(body, m))
             items[r] = 0
-    if len(residual) > 1:
-        factors.append(f"({_poly_text(residual, symbol_text, latex=latex)})")
     if not factors:
         return _fraction_text(const)
     text = "".join(factors)
@@ -524,26 +507,30 @@ _setattr = object.__setattr__
 class RationalFunction:
     """Reduced quotient of polynomials over one symbol, stored fraction-free.
 
-    The value is N / (D * prod (x - r)**m * R), where N is an integer
-    coefficient tuple, D a positive integer content, {r: m} the integer
-    roots of the denominator with their multiplicities, and R a primitive
-    integer residual with a positive leading coefficient and no integer
-    root (1 for every coefficient the engine builds).  The form is reduced:
-    N vanishes at no listed root, shares no factor with R and no integer
-    factor with D, so equal functions have equal fields.
+    The value is N / (D * prod (x - r)**m), where N is an integer
+    coefficient tuple, D a positive integer content and {r: m} the integer
+    roots of the denominator with their multiplicities.  The form is
+    reduced: N vanishes at no listed root and shares no integer factor with
+    D, so equal functions have equal fields.
+
+    The denominator must split over the integers, as every coefficient of
+    the three expansions does: a denominator (or, for `/` and negative
+    powers, a divisor's numerator) with a factor that has no integer root
+    is refused with a ValueError naming that factor.  A zero numerator
+    always gives zero.
 
     Sums take the larger multiplicity per root and the lcm of the contents,
     products add multiplicities; reduction is synthetic division at the
-    listed roots plus one integer gcd.  The Euclidean `polynomial_gcd` runs
-    only when R is non-trivial.  The engine's coefficients, sums of terms
-    whose roots are cell contents (gamma, inv-gamma) or -1 (large M), are
-    built once over those known roots by `from_root_terms`: no root
-    search, one reduction per coefficient.
+    listed roots plus one integer gcd, never a polynomial gcd.  The
+    engine's coefficients, sums of terms whose roots are cell contents
+    (gamma, inv-gamma) or -1 (large M), are built once over those known
+    roots by `from_root_terms`: no root search, one reduction per
+    coefficient.
     `num` (scaled) and `den` (monic) are derived views.  Instances are
     immutable.
     """
 
-    __slots__ = ("_num", "_content", "_roots", "_residual", "_symbol")
+    __slots__ = ("_num", "_content", "_roots", "_symbol")
 
     def __init__(self, num, den=None, symbol: str | None = None):
         if isinstance(num, (int, Fraction)):
@@ -578,8 +565,8 @@ class RationalFunction:
     def constant(cls, symbol: str, value) -> RationalFunction:
         v = _as_fraction(value)
         if not v:
-            return _new(symbol, (), 1, (), _ONE)
-        return _new(symbol, (v.numerator,), v.denominator, (), _ONE)
+            return _new(symbol, (), 1, ())
+        return _new(symbol, (v.numerator,), v.denominator, ())
 
     @classmethod
     def from_root_terms(cls, symbol: str, terms: Iterable[tuple], scale=1,
@@ -640,7 +627,7 @@ class RationalFunction:
                 num = _times_root(num, a, 1)
         return _new(symbol, *_canonical(
             num, content * scale.denominator,
-            sorted((r, m) for r, m in roots.items() if m), _ONE, symbol))
+            sorted((r, m) for r, m in roots.items() if m)))
 
     @property
     def symbol(self) -> str:
@@ -653,14 +640,12 @@ class RationalFunction:
     @property
     def num(self) -> Polynomial:
         """Numerator over the monic denominator `den`."""
-        scale = self._content * self._residual[-1]
-        return Polynomial(self._symbol, (Fraction(c, scale) for c in self._num))
+        return Polynomial(self._symbol, (Fraction(c, self._content) for c in self._num))
 
     @property
     def den(self) -> Polynomial:
         """Monic denominator."""
-        full = _imul(_expand_roots(self._roots), self._residual)
-        return Polynomial(self._symbol, (Fraction(c, full[-1]) for c in full))
+        return Polynomial(self._symbol, _expand_roots(self._roots))
 
     def _coerce(self, other) -> RationalFunction | None:
         if isinstance(other, RationalFunction):
@@ -688,12 +673,12 @@ class RationalFunction:
         if g > 1:
             num = tuple(c // g for c in num)
             content //= g
-        return _new(self._symbol, num, content, self._roots, self._residual)
+        return _new(self._symbol, num, content, self._roots)
 
     def _inverse(self) -> RationalFunction:
-        full = _imul(_expand_roots(self._roots), self._residual)
         return _new(self._symbol, *_quotient_fields(
-            tuple(c * self._content for c in full), self._num, self._symbol))
+            tuple(c * self._content for c in _expand_roots(self._roots)),
+            self._num, self._symbol))
 
     def __add__(self, other) -> RationalFunction:
         o = self._operand(other)
@@ -717,21 +702,14 @@ class RationalFunction:
             elif m2 < m1:
                 n2 = _times_root(n2, r, m1 - m2)
                 roots[r] = m1
-        residual = self._residual
-        if o._residual != residual:
-            common = _primitive_gcd(residual, o._residual, self._symbol)
-            f1 = _exact_quotient(o._residual, common)
-            n1 = _imul(n1, f1)
-            n2 = _imul(n2, _exact_quotient(residual, common))
-            residual = _imul(residual, f1)
         return _new(self._symbol, *_canonical(
-            _iadd(n1, n2), d1 // g * d2, sorted(roots.items()), residual, self._symbol))
+            _iadd(n1, n2), d1 // g * d2, sorted(roots.items())))
 
     __radd__ = __add__
 
     def __neg__(self) -> RationalFunction:
         return _new(self._symbol, tuple(-c for c in self._num), self._content,
-                    self._roots, self._residual)
+                    self._roots)
 
     def __sub__(self, other) -> RationalFunction:
         o = self._operand(other)
@@ -757,7 +735,7 @@ class RationalFunction:
             roots[r] = roots.get(r, 0) + m
         return _new(self._symbol, *_canonical(
             _imul(self._num, o._num), self._content * o._content,
-            sorted(roots.items()), _imul(self._residual, o._residual), self._symbol))
+            sorted(roots.items())))
 
     __rmul__ = __mul__
 
@@ -785,11 +763,11 @@ class RationalFunction:
         if self.is_zero:
             return self
         return _new(self._symbol, _ipow(self._num, n), self._content**n,
-                    tuple((r, m * n) for r, m in self._roots), _ipow(self._residual, n))
+                    tuple((r, m * n) for r, m in self._roots))
 
     def evaluate(self, value) -> Fraction:
         v = _as_fraction(value)
-        d = self._content * _evaluate(self._residual, v)
+        d = self._content
         for r, m in self._roots:
             d *= (v - r) ** m
         if d == 0:
@@ -800,8 +778,7 @@ class RationalFunction:
         """Numerator/denominator with integer coefficients (ascending), the
         pair scaled so their contents are coprime and the denominator's
         leading coefficient is positive."""
-        full = _imul(_expand_roots(self._roots), self._residual)
-        return list(self._num), [c * self._content for c in full]
+        return list(self._num), [c * self._content for c in _expand_roots(self._roots)]
 
     def expand(self, variable: str, order: int) -> TruncatedSeries:
         """Laurent expansion in `variable` through `order`: at 0 when the
@@ -829,19 +806,17 @@ class RationalFunction:
 
     def factored_denominator(self) -> str:
         """The monic denominator, factored."""
-        return _factored_text(self._roots, self._residual,
-                              Fraction(1, self._residual[-1]), self._symbol)
+        return _factored_text(self._roots, 1, self._symbol)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return (self._num == o._num and self._content == o._content
-                and self._roots == o._roots and self._residual == o._residual
-                and self._symbol == o._symbol)
+                and self._roots == o._roots and self._symbol == o._symbol)
 
     def __hash__(self) -> int:
-        return hash((self._symbol, self._num, self._content, self._roots, self._residual))
+        return hash((self._symbol, self._num, self._content, self._roots))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
@@ -854,10 +829,9 @@ class RationalFunction:
             sign = "-"
         symbol_text = _LATEX_SYMBOL.get(self._symbol, self._symbol) if latex else self._symbol
         num_text = _poly_text(num, symbol_text, latex=latex)
-        if not self._roots and self._residual == _ONE and self._content == 1:
+        if not self._roots and self._content == 1:
             return sign + num_text
-        den_text = _factored_text(self._roots, self._residual, self._content,
-                                  symbol_text, latex=latex)
+        den_text = _factored_text(self._roots, self._content, symbol_text, latex=latex)
         if latex:
             if den_text.startswith("(") and den_text.endswith(")") and \
                     den_text.count("(") == 1:
@@ -883,19 +857,18 @@ def _evaluate(cs: tuple, v: Fraction) -> Fraction:
 
 
 def _freeze(rf: RationalFunction, symbol: str, num: tuple[int, ...], content: int,
-            roots: tuple[tuple[int, int], ...], residual: tuple[int, ...]) -> None:
+            roots: tuple[tuple[int, int], ...]) -> None:
     _setattr(rf, "_symbol", symbol)
     _setattr(rf, "_num", num)
     _setattr(rf, "_content", content)
     _setattr(rf, "_roots", roots)
-    _setattr(rf, "_residual", residual)
 
 
 def _new(symbol: str, num: tuple[int, ...], content: int,
-         roots: tuple[tuple[int, int], ...], residual: tuple[int, ...]) -> RationalFunction:
+         roots: tuple[tuple[int, int], ...]) -> RationalFunction:
     """A RationalFunction from fields already in canonical form."""
     rf = object.__new__(RationalFunction)
-    _freeze(rf, symbol, num, content, roots, residual)
+    _freeze(rf, symbol, num, content, roots)
     return rf
 
 

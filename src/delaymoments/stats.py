@@ -77,6 +77,8 @@ class StatisticRequest(namedtuple("StatisticRequest", "kind request partition n"
                 partition: Partition | None = None, n: int | None = None):
         if kind not in STATISTICS:
             raise ValueError(f"unknown statistic kind {kind!r}")
+        if not isinstance(request, RegimeRequest):
+            raise ValueError(f"request must be a RegimeRequest, got {request!r}")
         takes = STATISTICS[kind].argument
         for name, value in (("partition", partition), ("n", n)):
             if name != takes and value is not None:

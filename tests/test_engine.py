@@ -390,6 +390,23 @@ def test_lossless_cavity_matches_the_inverse_wishart_law():
             assert coeff == RationalFunction(num, den), lam
 
 
+def test_lossless_cavity_matches_the_inverse_wishart_law_at_large_m():
+    # The same law in powers of x = 1/M: M^|lam| prod (M + c)/(M - c) is
+    # x^-|lam| prod (1 + c x)/(1 - c x), and (1 + c x)/(1 - c x) is
+    # 1 + 2 sum_k>0 (c x)^k.  Every 1/M coefficient, a function of g, takes
+    # its value at g = 0; a pole there (PoleError) fails the test too.
+    for weight, order in ((1, 4), (2, 4), (3, 4), (4, 4), (5, 2)):
+        size = weight + order + 1
+        for lam in shapes(weight):
+            law = [Fraction(hook_dimension(lam), factorial(weight))] + [0] * (size - 1)
+            for i, j in cells(lam):
+                cell = [1] + [2 * (j - i) ** k for k in range(1, size)]
+                law = [sum(law[a] * cell[k - a] for a in range(k + 1)) for k in range(size)]
+            series = delay_schur_moment(lam, VAR_INV_M, order)
+            for k, want in enumerate(law):
+                assert series.coefficient(k - weight).evaluate(0) == want, (lam, k - weight)
+
+
 def test_absorption_coefficients_need_no_root_search(monkeypatch):
     # Their denominators are products of (M - content), or powers of (1 + g)
     # in the large-M regime, and the Wigner moments divide by M**n: every

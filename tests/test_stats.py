@@ -33,6 +33,7 @@ from delaymoments.stats import (
     _cumulant,
     _wigner_moment,
 )
+from oracles import shapes
 
 
 def pm(*coeffs):
@@ -126,6 +127,39 @@ def test_statistic_request_normalises_its_partition():
         StatisticRequest("power_sum", req, partition=[1, 2])
     with pytest.raises(ValueError):
         sr._replace(partition=[1, 2])
+
+
+def test_statistic_request_refuses_a_request_that_is_not_a_regime_request():
+    sr = StatisticRequest("variance", RegimeRequest(VAR_GAMMA, 1))
+    for bad in ((VAR_GAMMA, 2), None):
+        for derive in (lambda: StatisticRequest("variance", bad),
+                       lambda: StatisticRequest._make(["variance", bad, None, None]),
+                       lambda: sr._replace(request=bad)):
+            with pytest.raises(ValueError, match="RegimeRequest"):
+                derive()
+
+
+# inv-gamma series open at higher powers, so its sweep reaches further.
+SWEEP_ORDERS = {VAR_INV_M: range(4), VAR_GAMMA: range(4),
+                VAR_INV_GAMMA: range(0, 9, 2)}
+
+
+def test_truncation_sweep_series_at_k_is_series_at_k_plus_3_truncated():
+    # Every power a series emits is exact, so computing it at a higher
+    # order and cutting back gives the same series.
+    arguments = {"partition": [lam for weight in range(1, 5) for lam in shapes(weight)],
+                 "n": range(1, 5), None: [None]}
+    for regime, orders in SWEEP_ORDERS.items():
+        for kind, row in STATISTICS.items():
+            for value in arguments[row.argument]:
+                given = {row.argument: value} if row.argument else {}
+
+                def at(order):
+                    return compute_statistic(StatisticRequest(
+                        kind, RegimeRequest(regime, order), **given))
+
+                for k in orders:
+                    assert at(k) == at(k + 3).truncate(k), (kind, value, regime, k)
 
 
 def _passing():
