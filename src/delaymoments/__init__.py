@@ -28,23 +28,17 @@ from .algebra import (
     VAR_INV_GAMMA,
     VAR_INV_M,
     VARIABLES,
-    ExactDivisionError,
     PoleError,
     Polynomial,
     RationalFunction,
     SeriesOrderError,
     TruncatedSeries,
     VariableMismatchError,
-    laurent_expand_inverse_power,
-    polynomial_gcd,
 )
 from .engine import (
     InternalConsistencyError,
-    absorption_weight,
     binomial_determinant,
     delay_schur_moment,
-    durfee_filtered_lr_sum,
-    falling_factorial,
     geometric_determinant,
     reflection_schur_moment,
     rising_factorial,
@@ -53,14 +47,12 @@ from .partitions import (
     ContainmentError,
     Partition,
     WeightMismatchError,
-    character,
     class_size,
     contains,
     content_product,
     dimension,
     durfee,
     enumerate_partitions,
-    lr_coefficient,
     subpartitions,
 )
 from .stats import (
@@ -81,16 +73,15 @@ __version__ = "0.1.0"
 __all__ = [
     "COEFF_SYMBOL", "SYM_G", "SYM_M",
     "VAR_GAMMA", "VAR_INV_GAMMA", "VAR_INV_M", "VARIABLES",
-    "ContainmentError", "ExactDivisionError", "InternalConsistencyError",
+    "ContainmentError", "InternalConsistencyError",
     "PoleError", "SeriesOrderError", "VariableMismatchError",
     "WeightMismatchError",
     "Partition", "Polynomial", "RationalFunction", "TruncatedSeries",
     "RegimeRequest", "StatisticRequest", "Check", "CheckResult",
-    "absorption_weight", "binomial_determinant", "character", "class_size",
+    "binomial_determinant", "class_size",
     "compute_statistic", "contains", "content_product", "cumulant",
-    "delay_schur_moment", "dimension", "durfee", "durfee_filtered_lr_sum",
-    "enumerate_partitions", "falling_factorial", "geometric_determinant",
-    "laurent_expand_inverse_power", "lr_coefficient", "polynomial_gcd",
+    "delay_schur_moment", "dimension", "durfee",
+    "enumerate_partitions", "geometric_determinant",
     "power_sum_moment", "reflection_schur_moment", "rising_factorial",
     "subpartitions", "validate_conjectures", "variance", "wigner_moment",
     "__version__",

@@ -58,10 +58,6 @@ def expansion_value(variable: str, m_value: Fraction, gamma_value: Fraction) -> 
 _LATEX_SYMBOL = {SYM_M: "M", SYM_G: r"\gamma"}
 
 
-class ExactDivisionError(ArithmeticError):
-    """Polynomial division was requested but the remainder is non-zero."""
-
-
 class VariableMismatchError(ValueError):
     """Operands carry different symbols or expansion variables."""
 
@@ -208,12 +204,6 @@ class Polynomial:
                 for j, b in enumerate(o.coeffs):
                     rem[k + j] -= c * b
         return Polynomial(self.symbol, quot), Polynomial(self.symbol, rem)
-
-    def exact_div(self, other) -> Polynomial:
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ExactDivisionError(f"({self}) not divisible by ({other})")
-        return q
 
     def __mod__(self, other) -> Polynomial:
         return divmod(self, other)[1]
@@ -1058,11 +1048,9 @@ class TruncatedSeries:
 
 
 def laurent_expand_inverse_power(p: Polynomial, k: int, order: int) -> TruncatedSeries:
-    """Exact expansion of p(M) * M**(-k) in powers of 1/M, up to `order`."""
+    """Exact expansion of p(M) * M**(-k), k >= 0, in powers of 1/M, up to `order`."""
     if p.symbol != SYM_M:
         raise VariableMismatchError("expected a polynomial in M")
     if p.is_zero:
         raise ValueError("expected a non-zero polynomial")
-    coeffs = {k - d: RationalFunction.constant(SYM_G, p.coefficient(d))
-              for d in range(p.degree + 1) if p.coefficient(d)}
-    return TruncatedSeries(VAR_INV_M, coeffs, order, min_power=k - p.degree)
+    return RationalFunction(p, Polynomial(SYM_M, (0, 1)) ** k).expand(VAR_INV_M, order)

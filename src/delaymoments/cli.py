@@ -41,6 +41,7 @@ from .stats import (
 )
 
 SCHEMA_VERSION = 1
+MAX_ORDER = 64
 
 _REGIME_TOKENS = {"inv-m": VAR_INV_M, "gamma": VAR_GAMMA, "inv-gamma": VAR_INV_GAMMA}
 _REGIME_NAMES = {v: k for k, v in _REGIME_TOKENS.items()}
@@ -62,32 +63,6 @@ def _rational_arg(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
-
-
-def load_config(path: str | None) -> dict[str, int]:
-    """Plain key=value configuration: max-order."""
-    config = {"max-order": 64}
-    if path is None:
-        return config
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in config:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    config[key] = int(value.strip())
-                except ValueError:
-                    raise UsageError(f"{path}:{lineno}: {key} needs an integer")
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
-    return config
 
 
 # argparse options per kind of STATISTICS argument.  A flag without an
@@ -209,16 +184,15 @@ def render_latex(sreq: StatisticRequest, series: TruncatedSeries) -> str:
     return f"{body} + O({_LATEX_SYMBOL[symbol]}^{{{e * (series.order + 1)}}})\n"
 
 
-def _check_order(order: int, config: dict[str, int]) -> None:
+def _check_order(order: int) -> None:
     if order < 0:
         raise UsageError("order must be non-negative")
-    if order > config["max-order"]:
-        raise UsageError(
-            f"order {order} exceeds the configured cap {config['max-order']}")
+    if order > MAX_ORDER:
+        raise UsageError(f"order {order} exceeds the cap {MAX_ORDER}")
 
 
 def cmd_series(args) -> int:
-    _check_order(args.order, load_config(args.config))
+    _check_order(args.order)
     sreq = _statistic_request(args, _REGIME_TOKENS[args.regime], args.order)
     start = time.perf_counter()
     series = compute_statistic(sreq)
@@ -242,7 +216,6 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    load_config(args.config)
     # Imported here so that the other commands skip loading the registry.
     from .reference import all_checks
 
@@ -301,7 +274,6 @@ def _scientific(value: Fraction, digits: int) -> str:
 
 
 def cmd_eval(args) -> int:
-    config = load_config(args.config)
     orders = {VAR_INV_M: args.order_inv_m, VAR_GAMMA: args.order_gamma,
               VAR_INV_GAMMA: args.order_inv_gamma}
     requested = {regime: order for regime, order in orders.items()
@@ -310,7 +282,7 @@ def cmd_eval(args) -> int:
         raise UsageError("give at least one of --order-inv-m / --order-gamma "
                          "/ --order-inv-gamma")
     for order in requested.values():
-        _check_order(order, config)
+        _check_order(order)
     if args.gamma_value <= 0:
         raise UsageError("the absorption strength must be positive")
     if args.m_value <= 0:
@@ -342,7 +314,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    _check_order(args.order, load_config(None))
+    _check_order(args.order)
     results = validate_conjectures(args.n_max, args.order)
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'} {res.key}: {res.description}"
@@ -375,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--format", choices=("text", "latex", "json"),
                           default="text")
     p_series.add_argument("--out", metavar="FILE")
-    p_series.add_argument("--config", metavar="FILE")
     p_series.set_defaults(func=cmd_series)
 
     p_verify = sub.add_parser("verify", help="run the reference checks")
@@ -386,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="conjecture checks cover n up to this value")
     p_verify.add_argument("--json", action="store_true",
                           help="append a machine-readable result block")
-    p_verify.add_argument("--config", metavar="FILE")
     p_verify.set_defaults(func=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate a statistic numerically")
@@ -396,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--order-inv-m", type=int)
     p_eval.add_argument("--order-gamma", type=int)
     p_eval.add_argument("--order-inv-gamma", type=int)
-    p_eval.add_argument("--config", metavar="FILE")
     p_eval.set_defaults(func=cmd_eval)
 
     p_conj = sub.add_parser("conjecture", help="validate the conjectured patterns")

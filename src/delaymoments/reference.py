@@ -355,9 +355,9 @@ _CHECKS: tuple[Check, ...] = (
 
 
 def all_checks(scope: str = "all", conjecture_max_n: int = 4) -> list[Check]:
-    """Registered checks for one scope (or all), in registration order."""
-    checks = list(_CHECKS)
-    if scope in ("all", "conjectures"):
-        checks += [c._replace(key=f"conjectures.{c.key}")
+    """Registered checks for one scope (or all), in registration order.
+    The lazy conjecture checks are built for every scope, so a bad
+    `conjecture_max_n` is refused whatever the scope."""
+    conjectures = [c._replace(key=f"conjectures.{c.key}")
                    for c in conjecture_checks(conjecture_max_n)]
-    return [c for c in checks if scope in ("all", c.scope)]
+    return [c for c in (*_CHECKS, *conjectures) if scope in ("all", c.scope)]

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from delaymoments.algebra import (
     COEFF_SYMBOL,
     VARIABLES,
-    ExactDivisionError,
     PoleError,
     Polynomial,
     RationalFunction,
@@ -52,10 +51,9 @@ class TestPolynomial:
         assert pm(0, 0).is_zero
 
     def test_division_examples(self):
-        q = pm(-1, 0, 1).exact_div(pm(-1, 1))
-        assert q == pm(1, 1)
-        with pytest.raises(ExactDivisionError):
-            pm(1, 0, 1).exact_div(pm(-1, 1))
+        assert divmod(pm(-1, 0, 1), pm(-1, 1)) == (pm(1, 1), pm())
+        q, r = divmod(pm(1, 0, 1), pm(-1, 1))
+        assert q == pm(1, 1) and r == pm(2)
 
     def test_gcd_example(self):
         g = polynomial_gcd(pm(-1, 0, 1), pm(1, -2, 1))

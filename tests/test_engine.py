@@ -197,7 +197,8 @@ class TestReflectionMoments:
             for _, coeff in s.terms():
                 den = coeff.den
                 while den.degree > 0:
-                    den = den.exact_div(one_plus_g)
+                    den, rem = divmod(den, one_plus_g)
+                    assert rem.is_zero, coeff
                 assert den.degree == 0
 
     def test_cached_series_cannot_be_mutated(self):
@@ -302,9 +303,9 @@ class TestDelayMoments:
             for _, coeff in s.terms():
                 den = coeff.den
                 while den.degree > 0 and den % one_plus_g == pg():
-                    den = den.exact_div(one_plus_g)
+                    den = divmod(den, one_plus_g)[0]
                 while den.degree > 0 and den.coefficient(0) == 0:
-                    den = den.exact_div(g)
+                    den = divmod(den, g)[0]
                     observed_pole += 1
                 assert den.degree == 0, f"unexpected factor {den}"
         print(f"residual absorption poles in reduced denominators: "

@@ -315,3 +315,32 @@ def test_conjecture_b_example():
     p2 = _trace_moment(2, VAR_GAMMA, 0)
     assert p1.coefficient(1) == p2.coefficient(0) * Fraction(-1, 2)
     assert p2.coefficient(0) == RationalFunction(pm(0, 0, 2), pm(-1, 0, 1))
+
+
+def test_lossless_cavity_sample_matches_the_mean_and_variance():
+    # Statistical oracle from the physical model, sharing no code with the
+    # engine.  At g = 0, Q = M·W⁻¹ with W = GG† complex Wishart, G an
+    # M×2M complex Gaussian with E|G_ij|² = 1 (Brouwer, Frahm and Beenakker,
+    # PRL 78, 4737 (1997)), so Tr(Q)/M = Tr W⁻¹.  Seed, sample size and
+    # tolerance were fixed before the first run: each sample statistic must
+    # lie within 4 standard errors, read from the sample's own second and
+    # fourth central moments, of the g⁰ coefficient at M = 5.
+    np = pytest.importorskip("numpy")
+    m, size, chunk = 5, 200_000, 20_000
+    rng = np.random.default_rng(20231)
+    taus = []
+    for _ in range(size // chunk):
+        g = (rng.standard_normal((chunk, m, 2 * m))
+             + 1j * rng.standard_normal((chunk, m, 2 * m))) / np.sqrt(2)
+        w = g @ g.conj().transpose(0, 2, 1)
+        taus.append(np.trace(np.linalg.inv(w), axis1=1, axis2=2).real)
+    tau = np.concatenate(taus)
+    dev = tau - tau.mean()
+    m2, m4 = (dev**2).mean(), (dev**4).mean()
+
+    req = RegimeRequest(VAR_GAMMA, 0)
+    mean = wigner_moment(1, req).coefficient(0).evaluate(m)
+    var = variance(req).coefficient(0).evaluate(m)
+    assert (mean, var) == (1, Fraction(1, 12))
+    assert abs(tau.mean() - float(mean)) < 4 * np.sqrt(m2 / size)
+    assert abs(m2 - float(var)) < 4 * np.sqrt((m4 - m2**2) / size)
