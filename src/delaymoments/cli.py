@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -41,7 +42,7 @@ from .stats import (
 )
 
 SCHEMA_VERSION = 1
-MAX_ORDER = 64
+MAX_ORDER = 64  # caps every order, index, partition weight and --n-max
 
 _REGIME_TOKENS = {"inv-m": VAR_INV_M, "gamma": VAR_GAMMA, "inv-gamma": VAR_INV_GAMMA}
 _REGIME_NAMES = {v: k for k, v in _REGIME_TOKENS.items()}
@@ -86,6 +87,10 @@ def _statistic_request(args, regime: str, order: int) -> StatisticRequest:
     kind = next(k for k in STATISTICS if getattr(args, k) is not None)
     argument = STATISTICS[kind].argument
     values = {argument: getattr(args, kind)} if argument else {}
+    if argument == "partition":
+        _check_size("partition weight", values["partition"].weight)
+    elif argument == "n":
+        _check_size("index", values["n"])
     return StatisticRequest(kind, RegimeRequest(regime, order), **values)
 
 
@@ -184,11 +189,15 @@ def render_latex(sreq: StatisticRequest, series: TruncatedSeries) -> str:
     return f"{body} + O({_LATEX_SYMBOL[symbol]}^{{{e * (series.order + 1)}}})\n"
 
 
+def _check_size(name: str, size: int) -> None:
+    if size > MAX_ORDER:
+        raise UsageError(f"{name} {size} exceeds the cap {MAX_ORDER}")
+
+
 def _check_order(order: int) -> None:
     if order < 0:
         raise UsageError("order must be non-negative")
-    if order > MAX_ORDER:
-        raise UsageError(f"order {order} exceeds the cap {MAX_ORDER}")
+    _check_size("order", order)
 
 
 def cmd_series(args) -> int:
@@ -203,14 +212,7 @@ def cmd_series(args) -> int:
         output = render_latex(sreq, series)
     else:
         output = render_text(sreq, series)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc.strerror}")
-    else:
-        sys.stdout.write(output)
+    sys.stdout.write(output)
     print(f"# computed in {elapsed:.3f}s", file=sys.stderr)
     return 0
 
@@ -219,7 +221,7 @@ def cmd_verify(args) -> int:
     # Imported here so that the other commands skip loading the registry.
     from .reference import all_checks
 
-    results = [c.execute() for c in all_checks(args.scope, conjecture_max_n=args.n_max)]
+    results = [c.execute() for c in all_checks(args.scope)]
     hard_failures = 0
     soft_failures = 0
     for res in results:
@@ -314,8 +316,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    _check_order(args.order)
-    results = validate_conjectures(args.n_max, args.order)
+    _check_size("max_n", args.n_max)
+    results = validate_conjectures(args.n_max)
     for res in results:
         line = f"{'PASS' if res.passed else 'FAIL'} {res.key}: {res.description}"
         print(line + (f" [{res.detail}]" if res.detail and not res.passed else ""))
@@ -346,15 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--order", required=True, type=int)
     p_series.add_argument("--format", choices=("text", "latex", "json"),
                           default="text")
-    p_series.add_argument("--out", metavar="FILE")
     p_series.set_defaults(func=cmd_series)
 
     p_verify = sub.add_parser("verify", help="run the reference checks")
     p_verify.add_argument("--scope", default="all", choices=("all", *SCOPES))
     p_verify.add_argument("--strict", action="store_true",
                           help="soft findings also fail the run")
-    p_verify.add_argument("--n-max", type=int, default=4,
-                          help="conjecture checks cover n up to this value")
     p_verify.add_argument("--json", action="store_true",
                           help="append a machine-readable result block")
     p_verify.set_defaults(func=cmd_verify)
@@ -370,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conj = sub.add_parser("conjecture", help="validate the conjectured patterns")
     p_conj.add_argument("--n-max", type=int, default=4)
-    p_conj.add_argument("--order", type=int, default=0,
-                        help="extra guaranteed powers beyond each stated window")
     p_conj.add_argument("--strict", action="store_true")
     p_conj.set_defaults(func=cmd_conjecture)
 
@@ -382,10 +379,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except (UsageError, PoleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Stdout's reader has gone: let the flush at exit write to the null device.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), 1)
+        print("error: standard output was closed", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -354,10 +354,9 @@ _CHECKS: tuple[Check, ...] = (
 )
 
 
-def all_checks(scope: str = "all", conjecture_max_n: int = 4) -> list[Check]:
+def all_checks(scope: str = "all") -> list[Check]:
     """Registered checks for one scope (or all), in registration order.
-    The lazy conjecture checks are built for every scope, so a bad
-    `conjecture_max_n` is refused whatever the scope."""
+    The conjecture checks cover n <= 4."""
     conjectures = [c._replace(key=f"conjectures.{c.key}")
-                   for c in conjecture_checks(conjecture_max_n)]
+                   for c in conjecture_checks(4)]
     return [c for c in (*_CHECKS, *conjectures) if scope in ("all", c.scope)]

@@ -276,34 +276,34 @@ def _trace_moment(n: int, regime: str, order: int) -> TruncatedSeries:
 _M_SQ = Polynomial(SYM_M, (0, 0, 1))
 
 
-def _large_m_second(n: int, extra: int) -> tuple[bool, str]:
+def _large_m_second(n: int) -> tuple[bool, str]:
     # 1/(1+g)^n + (n(n-1)g^2/2 - ng + n(n-1)) / ((1+g)^(n+4) M^2) + O(M^-4).
     one_plus_g = Polynomial(SYM_G, (1, 1))
-    series = _wigner_moment(n, VAR_INV_M, 2 + extra)
+    series = _wigner_moment(n, VAR_INV_M, 2)
     num = Polynomial(SYM_G, (n * (n - 1), -n, Fraction(n * (n - 1), 2)))
     expected = {0: RationalFunction(Polynomial(SYM_G, (1,)), one_plus_g ** n),
                 2: RationalFunction(num, one_plus_g ** (n + 4))}
     return match_window(series, expected, hi=2)
 
 
-def _trace_slope(n: int, extra: int) -> tuple[bool, str]:
+def _trace_slope(n: int) -> tuple[bool, str]:
     # P_n(g) = P_n(0) - (n/2) P_{n+1}(0) g + O(g^2).
-    p_n = _trace_moment(n, VAR_GAMMA, 1 + extra)
-    p_next = _trace_moment(n + 1, VAR_GAMMA, extra)
+    p_n = _trace_moment(n, VAR_GAMMA, 1)
+    p_next = _trace_moment(n + 1, VAR_GAMMA, 0)
     expected = p_next.coefficient(0) * Fraction(-n, 2)
     return match_window(p_n, {1: expected}, 1, 1)
 
 
-def _cumulant_slope(n: int, extra: int) -> tuple[bool, str]:
+def _cumulant_slope(n: int) -> tuple[bool, str]:
     # k_n(g) = k_n(0) - (M^2/2) k_{n+1}(0) g + O(g^2).
-    k_n = _cumulant(n, VAR_GAMMA, 1 + extra)
-    k_next = _cumulant(n + 1, VAR_GAMMA, extra)
+    k_n = _cumulant(n, VAR_GAMMA, 1)
+    k_next = _cumulant(n + 1, VAR_GAMMA, 0)
     expected = k_next.coefficient(0) * _rf_m(_M_SQ) * Fraction(-1, 2)
     return match_window(k_n, {1: expected}, 1, 1)
 
 
-def _trace_opening(n: int, extra: int) -> tuple[bool, str]:
-    series = _trace_moment(n, VAR_INV_GAMMA, n + 3 + extra)
+def _trace_opening(n: int) -> tuple[bool, str]:
+    series = _trace_moment(n, VAR_INV_GAMMA, n + 3)
     tail_num = Polynomial(SYM_M, (n * (n + 2), 0, n * (5 * n - 2)))
     expected = {
         n: _rf_m(1), n + 1: _rf_m(-n), n + 2: _rf_m(n * n),
@@ -312,17 +312,17 @@ def _trace_opening(n: int, extra: int) -> tuple[bool, str]:
     return match_window(series, expected, hi=n + 3)
 
 
-def _wigner_opening(n: int, extra: int) -> tuple[bool, str]:
-    series = _wigner_moment(n, VAR_INV_GAMMA, n + 2 + extra)
+def _wigner_opening(n: int) -> tuple[bool, str]:
+    series = _wigner_moment(n, VAR_INV_GAMMA, n + 2)
     num2 = Polynomial(SYM_M, (n * (n - 1), 0, n * (n + 1)))
     expected = {n: _rf_m(1), n + 1: _rf_m(-n),
                 n + 2: _rf_m(num2 * Fraction(1, 2), _M_SQ)}
     return match_window(series, expected, hi=n + 2)
 
 
-def _cumulant_tail(n: int, extra: int) -> tuple[bool, str]:
+def _cumulant_tail(n: int) -> tuple[bool, str]:
     # (-1)^n k_n = (n-1)!/(M^(2n-2) g^(2n)) - (2n-1) n (n-1)!/(M^(2n-2) g^(2n+1)) + ...
-    series = _cumulant(n, VAR_INV_GAMMA, 2 * n + 1 + extra)
+    series = _cumulant(n, VAR_INV_GAMMA, 2 * n + 1)
     sign = (-1) ** n
     m_pow = Polynomial(SYM_M, (0,) * (2 * n - 2) + (1,))
     expected = {2 * n: _rf_m(sign * factorial(n - 1), m_pow),
@@ -330,25 +330,20 @@ def _cumulant_tail(n: int, extra: int) -> tuple[bool, str]:
     return match_window(series, expected, hi=2 * n + 1)
 
 
-def conjecture_checks(max_n: int, order: int = 0) -> list[Check]:
+def conjecture_checks(max_n: int) -> list[Check]:
     """Lazy exact checks of the five conjectured patterns, for all n <= max_n.
 
-    `order` adds extra guaranteed powers beyond each pattern's stated window;
-    the stated coefficients themselves are always checked.  The checks are
-    soft: failures are findings, not errors.
+    Each check computes exactly the window of coefficients its pattern
+    states.  The checks are soft: failures are findings, not errors.
     """
     require_int("max_n", max_n)
-    require_int("order", order)
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    if order < 0:
-        raise ValueError("order must be non-negative")
     checks: list[Check] = []
 
-    def add(key: str, description: str, run: Callable[[int, int], tuple[bool, str]],
+    def add(key: str, description: str, run: Callable[[int], tuple[bool, str]],
             n: int) -> None:
-        checks.append(Check(key, "conjectures", False, description,
-                            partial(run, n, order)))
+        checks.append(Check(key, "conjectures", False, description, partial(run, n)))
 
     ns = range(1, max_n + 1)
     # (a) Large-M pattern for the n-th power of the normalized total delay.
@@ -375,6 +370,6 @@ def conjecture_checks(max_n: int, order: int = 0) -> list[Check]:
     return checks
 
 
-def validate_conjectures(max_n: int, order: int = 0) -> list[CheckResult]:
+def validate_conjectures(max_n: int) -> list[CheckResult]:
     """Run every conjecture check (see `conjecture_checks`) in order."""
-    return [c.execute() for c in conjecture_checks(max_n, order)]
+    return [c.execute() for c in conjecture_checks(max_n)]

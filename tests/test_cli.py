@@ -36,14 +36,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE, **env):
     """Run python with `args` in a fresh interpreter that imports this
-    package; returns (exit code, stdout, stderr)."""
+    package, with `env` set in its environment (None unsets a variable);
+    returns (exit code, stdout, stderr)."""
     src = str(Path(delaymoments.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+    env = {name: value for name, value in env.items() if value is not None}
+    proc = subprocess.run([sys.executable, *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -204,35 +206,66 @@ def test_series_order_cap(capsys):
     assert err == "error: order 65 exceeds the cap 64\n"
 
 
-@pytest.mark.parametrize("command", [
-    ["series", "--schur", "1", "--regime", "gamma", "--order", "0"],
-    ["verify", "--scope", "intro"],
-    ["eval", "--variance", "--m-value", "20", "--gamma-value", "1",
-     "--order-gamma", "0"],
-    ["conjecture", "--n-max", "2"],
-], ids=["series", "verify", "eval", "conjecture"])
-def test_config_flag_is_refused(capsys, tmp_path, command):
+@pytest.mark.parametrize("command,flag", [
+    (["series", "--schur", "1", "--regime", "gamma", "--order", "0"], "--config"),
+    (["verify", "--scope", "intro"], "--config"),
+    (["eval", "--variance", "--m-value", "20", "--gamma-value", "1",
+      "--order-gamma", "0"], "--config"),
+    (["conjecture", "--n-max", "2"], "--config"),
+    (["conjecture", "--n-max", "2"], "--order"),
+    (["verify", "--scope", "intro"], "--n-max"),
+    (["series", "--variance", "--regime", "gamma", "--order", "0"], "--out"),
+], ids=["series", "verify", "eval", "conjecture",
+        "conjecture-order", "verify-n-max", "series-out"])
+def test_config_flag_is_refused(capsys, command, flag):
+    # --config and the flags removed after it are unknown to every parser.
     with pytest.raises(SystemExit) as exc:
-        main([*command, "--config", str(tmp_path / "cfg")])
+        main([*command, flag, "1"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_series_out_file(tmp_path, capsys):
-    target = tmp_path / "series.json"
-    code, out, _ = run_cli(
-        capsys, "series", "--variance", "--regime", "gamma", "--order", "0",
-        "--format", "json", "--out", str(target))
-    assert code == 0 and out == ""
-    document = json.loads(target.read_text())
-    assert document["request"]["kind"] == "variance"
+@pytest.mark.parametrize("argv,message", [
+    (("series", "--wigner-moment", "99999999999999999999", "--regime", "gamma",
+      "--order", "0"), "index 99999999999999999999"),
+    (("series", "--trace-powers", "99999999999999999999", "--regime", "inv-m",
+      "--order", "0"), "partition weight 99999999999999999999"),
+    (("series", "--schur", "65", "--regime", "inv-gamma", "--order", "0"),
+     "partition weight 65"),
+], ids=["index", "trace-powers-weight", "schur-weight"])
+def test_size_above_the_cap_is_refused(argv, message):
+    code, out, err = run_cold(*argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message} exceeds the cap 64\n"
 
 
-def test_series_unwritable_out_is_usage_error(tmp_path):
-    code, _, err = run_cold("series", "--variance", "--regime", "inv-m", "--order", "2",
-                         "--out", str(tmp_path / "missing" / "x"))
+def test_conjecture_n_max_at_the_cap_is_accepted(monkeypatch, capsys):
+    monkeypatch.setattr("delaymoments.cli.validate_conjectures", lambda max_n: [])
+    code, out, err = run_cli(capsys, "conjecture", "--n-max", "64")
+    assert code == 0 and err == ""
+    assert json.loads(out)["max_n"] == 64
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ("series", "--schur", "1", "--regime", "inv-m", "--order", "0"),
+    ("verify", "--scope", "intro"),
+    ("eval", "--variance", "--m-value", "20", "--gamma-value", "1",
+     "--order-gamma", "0"),
+    ("conjecture", "--n-max", "2"),
+], ids=lambda argv: argv[0])
+def test_closed_stdout_is_a_usage_error(argv, unbuffered):
+    # The reader of stdout has gone before the first write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code, _, err = run_python("-m", "delaymoments.cli", *argv, stdout=write_end,
+                                  PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
     assert code == 2
-    assert "error: cannot write" in err and "Traceback" not in err
+    assert "error: standard output was closed\n" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_eval_cross_regime(capsys):
@@ -335,15 +368,6 @@ def test_verify_section5(capsys):
     assert "section5.tracesq.inv_gamma" in out
 
 
-@pytest.mark.parametrize("scope,n_max", [
-    ("all", "0"), ("conjectures", "1"), ("intro", "0"), ("section3", "-5"),
-])
-def test_verify_refuses_n_max_below_two_for_every_scope(capsys, scope, n_max):
-    code, out, err = run_cli(capsys, "verify", "--scope", scope, "--n-max", n_max)
-    assert code == 2 and out == ""
-    assert err == "error: max_n must be at least 2\n"
-
-
 def test_verify_json_block(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "section5", "--json")
     assert code == 0
@@ -434,8 +458,8 @@ def test_conjecture_command(capsys):
     assert payload["all_passed"] is True
 
 
-def test_conjecture_rejects_negative_order(capsys):
-    code, out, err = run_cli(capsys, "conjecture", "--n-max", "2", "--order", "-3")
-    assert code == 2
-    assert err == "error: order must be non-negative\n"
-    assert out == ""
+@pytest.mark.parametrize("n_max", ["1", "0"])
+def test_conjecture_refuses_n_max_below_two(capsys, n_max):
+    code, out, err = run_cli(capsys, "conjecture", "--n-max", n_max)
+    assert code == 2 and out == ""
+    assert err == "error: max_n must be at least 2\n"

@@ -233,10 +233,9 @@ def test_statistic_request_rejects_a_stray_argument(kind, argument):
     lambda: wigner_moment(2.0, RegimeRequest(VAR_GAMMA, 2)),
     lambda: cumulant("2", RegimeRequest(VAR_GAMMA, 2)),
     lambda: conjecture_checks(3.0),
-    lambda: validate_conjectures(2, order=0.5),
 ], ids=["regime-order", "regime-order-none", "statistic-n", "statistic-n-missing",
         "delay-order", "reflection-order", "wigner-n", "cumulant-n",
-        "conjecture-max-n", "conjecture-order"])
+        "conjecture-max-n"])
 def test_non_integer_order_or_index_is_refused_at_the_call(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
@@ -267,14 +266,6 @@ def test_validate_conjectures_small():
     assert {"a.n=1", "a.n=2", "b.n=1", "c.n=2", "d1.n=2", "d2.n=1",
             "e.n=2"} <= set(ids)
     assert len(ids) == len(set(ids)) == 11
-
-
-def test_conjectures_reject_negative_order():
-    # Refused with RegimeRequest's message instead of running at order 0.
-    for order in (-1, -3):
-        with pytest.raises(ValueError) as exc:
-            validate_conjectures(2, order)
-        assert str(exc.value) == "order must be non-negative"
 
 
 def test_registering_conjecture_checks_computes_nothing():
