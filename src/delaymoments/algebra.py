@@ -34,6 +34,9 @@ VARIABLE_POWER = {
 }
 COEFF_SYMBOL = {variable: next(s for s, e in powers.items() if not e)
                 for variable, powers in VARIABLE_POWER.items()}
+# (symbol, exponent) per expansion variable: the variable is symbol**exponent.
+VARIABLE_SYMBOL = {variable: next((s, e) for s, e in powers.items() if e)
+                   for variable, powers in VARIABLE_POWER.items()}
 
 
 def require_int(name: str, value) -> None:
@@ -51,8 +54,8 @@ def operand_order(variable: str, order: int, m_power: int = 0, g_power: int = 0)
 
 def expansion_value(variable: str, m_value: Fraction, gamma_value: Fraction) -> Fraction:
     """Value of the expansion variable at rational M and absorption values."""
-    values = {SYM_M: m_value, SYM_G: gamma_value}
-    return next(values[s] ** e for s, e in VARIABLE_POWER[variable].items() if e)
+    symbol, e = VARIABLE_SYMBOL[variable]
+    return {SYM_M: m_value, SYM_G: gamma_value}[symbol] ** e
 
 
 _LATEX_SYMBOL = {SYM_M: "M", SYM_G: r"\gamma"}
@@ -654,9 +657,8 @@ class RationalFunction:
                 f"cannot mix symbols {self._symbol!r} and {o._symbol!r}")
         return o
 
-    def _scaled(self, factor) -> RationalFunction:
-        """Product with a non-zero exact scalar."""
-        p, q = factor.numerator, factor.denominator
+    def _scaled(self, p: int, q: int) -> RationalFunction:
+        """Product with the non-zero exact scalar p/q, q > 0."""
         num = tuple(c * p for c in self._num)
         content = self._content * q
         g = int_gcd(content, *num)
@@ -714,12 +716,14 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             if not other or not self._num:
                 return RationalFunction.constant(self._symbol, 0)
-            return self._scaled(other)
+            return self._scaled(other.numerator, other.denominator)
         o = self._operand(other)
         if o is None:
             return NotImplemented
         if not self._num or not o._num:
             return RationalFunction.constant(self._symbol, 0)
+        if len(o._num) == 1 and not o._roots:
+            return self._scaled(o._num[0], o._content)
         roots = dict(self._roots)
         for r, m in o._roots:
             roots[r] = roots.get(r, 0) + m
@@ -967,9 +971,7 @@ class TruncatedSeries:
 
     def scale(self, factor) -> TruncatedSeries:
         """Multiply every coefficient by a scalar in the coefficient symbol."""
-        if isinstance(factor, (int, Fraction)):
-            factor = RationalFunction.constant(self.coefficient_symbol, factor)
-        elif isinstance(factor, Polynomial):
+        if isinstance(factor, Polynomial):
             factor = RationalFunction(factor)
         return TruncatedSeries(self.variable, {p: c * factor for p, c in self.coeffs.items()},
                                self.order)
@@ -985,10 +987,8 @@ class TruncatedSeries:
         e = VARIABLE_POWER[self.variable][symbol]
         if e:
             return self.shift_power(e * k)
-        if k < 0:
-            return self.scale(RationalFunction.from_root_terms(
-                symbol, [(1, (), ())], den_roots=[0] * -k))
-        return self.scale(Polynomial(symbol, (0,) * k + (1,)))
+        return self.scale(RationalFunction.from_root_terms(
+            symbol, [(1, (), ())], num_roots=[0] * k, den_roots=[0] * -k))
 
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
@@ -1002,28 +1002,19 @@ class TruncatedSeries:
 
     def times_m_polynomial(self, p: Polynomial) -> TruncatedSeries:
         """Multiply by a polynomial in M: scales when M is the coefficient
-        symbol, else shifts each power of M by the (negative) power of the
-        expansion variable it carries, losing p.degree guaranteed powers."""
+        symbol, else multiplies by p as the exact series of powers 1/M**d,
+        losing p.degree guaranteed powers (none for the zero polynomial)."""
         if p.symbol != SYM_M:
             raise VariableMismatchError("expected a polynomial in M")
-        e = VARIABLE_POWER[self.variable][SYM_M]
-        if not e:
+        if not VARIABLE_POWER[self.variable][SYM_M]:
             return self.scale(p)
-        if p.is_zero:
-            return TruncatedSeries.zero(self.variable, self.order)
-        order = self.order + e * p.degree
-        out: dict[int, RationalFunction] = {}
-        for d in range(p.degree + 1):
-            c = p.coefficient(d)
-            if not c:
-                continue
-            for q, a in self.coeffs.items():
-                key = q + e * d
-                if key > order:
-                    continue
-                term = a * c
-                out[key] = out[key] + term if key in out else term
-        return TruncatedSeries(self.variable, out, order)
+        # p is exact at every power; its window only has to keep the
+        # product's order at self.order - p.degree (self.order for the zero
+        # polynomial): order - min_power does when self has a coefficient,
+        # -1 when it has none.
+        window = max(self.order - self.min_power, -1)
+        return self * TruncatedSeries(self.variable, {-d: c for d, c in enumerate(p.coeffs)},
+                                      window)
 
     def evaluate(self, m_value, gamma_value) -> Fraction:
         """Exact value of the truncated sum at rational M and absorption values."""

@@ -28,7 +28,7 @@ from .algebra import (
     VAR_GAMMA,
     VAR_INV_GAMMA,
     VAR_INV_M,
-    VARIABLE_POWER,
+    VARIABLE_SYMBOL,
     expansion_value,
 )
 from .partitions import Partition
@@ -132,14 +132,8 @@ def _statistic_title(sreq: StatisticRequest) -> str:
     return STATISTICS[sreq.kind].title.format(partition=sreq.partition, n=sreq.n)
 
 
-def _variable_symbol(variable: str) -> tuple[str, int]:
-    """The symbol carrying the expansion variable, and the exponent of that
-    symbol in one power of the variable (+1 or -1)."""
-    return next((s, e) for s, e in VARIABLE_POWER[variable].items() if e)
-
-
 def _text_power(variable: str, p: int) -> str:
-    symbol, e = _variable_symbol(variable)
+    symbol, e = VARIABLE_SYMBOL[variable]
     return f"{symbol}^{p}" if e > 0 else f"(1/{symbol})^{p}"
 
 
@@ -158,7 +152,7 @@ def render_text(sreq: StatisticRequest, series: TruncatedSeries) -> str:
 
 
 def _latex_power(variable: str, p: int) -> str:
-    symbol, e = _variable_symbol(variable)
+    symbol, e = VARIABLE_SYMBOL[variable]
     exponent = e * p
     if not exponent:
         return ""
@@ -185,7 +179,7 @@ def render_latex(sreq: StatisticRequest, series: TruncatedSeries) -> str:
             body += (" - " if negative else " + ") + piece
     if not body:
         body = "0"
-    symbol, e = _variable_symbol(series.variable)
+    symbol, e = VARIABLE_SYMBOL[series.variable]
     return f"{body} + O({_LATEX_SYMBOL[symbol]}^{{{e * (series.order + 1)}}})\n"
 
 

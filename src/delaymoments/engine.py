@@ -37,6 +37,7 @@ from .algebra import (
 )
 from .partitions import (
     PartitionLike,
+    _shape,
     as_parts,
     character_row,
     class_size,
@@ -145,9 +146,9 @@ def _durfee_row(a: tuple[int, ...], m: int, target: int) -> dict[tuple[int, ...]
     row: dict[tuple[int, ...], int] = defaultdict(int)
     for beta in enumerate_partitions(m):
         fixed = beta.count(1)
+        core = _shape(beta[:len(beta) - fixed])
         inner = sum(c * _cell_chains(kappa, fixed, target)
-                    for kappa, c in strip_expansion(a, beta[:len(beta) - fixed],
-                                                    target).items())
+                    for kappa, c in strip_expansion(a, core, target).items())
         if inner:
             weight = class_size(beta) * inner
             for b, chi in character_row(beta).items():
@@ -168,7 +169,8 @@ def _cell_chains(kappa: tuple[int, ...], k: int, target: int) -> int:
         # A cell may go at the end of row i when the row above is longer; it
         # lies on the diagonal when p == i.
         if (i == 0 or kappa[i - 1] > p) and (p != i or side < target):
-            total += _cell_chains(kappa[:i] + (p + 1,) + kappa[i + 1:], k - 1, target)
+            grown = _shape(kappa[:i] + (p + 1,) + kappa[i + 1:])
+            total += _cell_chains(grown, k - 1, target)
     return total
 
 
@@ -188,6 +190,8 @@ def reflection_schur_moment(mu: PartitionLike, regime: str, order: int) -> Trunc
     """
     mp = as_parts(mu)
     require_int("order", order)
+    if order < 0:
+        raise ValueError("order must be non-negative")
     if regime == VAR_INV_M:
         return _reflection_inv_m(mp, order)
     if regime == VAR_GAMMA:

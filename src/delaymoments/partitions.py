@@ -50,7 +50,9 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(parts)
+        if not all(isinstance(p, int) for p in ps):
+            raise ValueError(f"parts must be integers: {ps}")
         for a, b in zip(ps, ps[1:]):
             if a < b:
                 raise ValueError(f"parts must be non-increasing: {ps}")

@@ -48,8 +48,7 @@ def _pm(*coeffs) -> Polynomial:
 
 
 def _rf(num: Polynomial, den: Polynomial | int = 1) -> RationalFunction:
-    return RationalFunction(num, den if isinstance(den, Polynomial)
-                            else Polynomial.constant(num.symbol, den))
+    return RationalFunction(num, den)
 
 
 _ONE_PLUS_G = _pg(1, 1)

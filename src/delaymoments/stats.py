@@ -133,14 +133,11 @@ def wigner_moment(n: int, req: RegimeRequest) -> TruncatedSeries:
 
 @cache
 def _cumulant(n: int, regime: str, order: int) -> TruncatedSeries:
-    moments = {j: _wigner_moment(j, regime, order) for j in range(1, n + 1)}
-    cumulants: dict[int, TruncatedSeries] = {}
-    for j in range(1, n + 1):
-        acc = moments[j]
-        for i in range(1, j):
-            acc = acc - (cumulants[i] * moments[j - i]).scale(comb(j - 1, i - 1))
-        cumulants[j] = acc
-    return cumulants[n].truncate(order)
+    acc = _wigner_moment(n, regime, order)
+    for i in range(1, n):
+        acc = acc - (_cumulant(i, regime, order)
+                     * _wigner_moment(n - i, regime, order)).scale(comb(n - 1, i - 1))
+    return acc
 
 
 def cumulant(n: int, req: RegimeRequest) -> TruncatedSeries:
@@ -243,12 +240,11 @@ class Check(namedtuple("Check", "key scope hard description run")):
 
 def match_window(series: TruncatedSeries,
                  expected: dict[int, RationalFunction | int],
-                 lo: int | None = None, hi: int | None = None) -> tuple[bool, str]:
-    """Compare powers lo..hi with `expected` (absent powers must vanish); lo
-    defaults to the lower of the leading and the lowest expected power, hi
-    to the order of the series."""
+                 lo: int | None = None) -> tuple[bool, str]:
+    """Compare powers lo..order with `expected` (absent powers must vanish);
+    lo defaults to the lower of the leading and the lowest expected power."""
     lo = min([series.min_power, *expected]) if lo is None else lo
-    for p in range(lo, (series.order if hi is None else hi) + 1):
+    for p in range(lo, series.order + 1):
         want = expected.get(p, RationalFunction.constant(series.coefficient_symbol, 0))
         got = series.coefficient(p)
         if got != want:
@@ -261,11 +257,7 @@ def match_window(series: TruncatedSeries,
 
 
 def _rf_m(num: Polynomial | int | Fraction, den: Polynomial | int | Fraction = 1) -> RationalFunction:
-    if isinstance(num, (int, Fraction)):
-        num = Polynomial.constant(SYM_M, num)
-    if isinstance(den, (int, Fraction)):
-        den = Polynomial.constant(SYM_M, den)
-    return RationalFunction(num, den)
+    return RationalFunction(num, den, SYM_M)
 
 
 def _trace_moment(n: int, regime: str, order: int) -> TruncatedSeries:
@@ -283,7 +275,7 @@ def _large_m_second(n: int) -> tuple[bool, str]:
     num = Polynomial(SYM_G, (n * (n - 1), -n, Fraction(n * (n - 1), 2)))
     expected = {0: RationalFunction(Polynomial(SYM_G, (1,)), one_plus_g ** n),
                 2: RationalFunction(num, one_plus_g ** (n + 4))}
-    return match_window(series, expected, hi=2)
+    return match_window(series, expected)
 
 
 def _trace_slope(n: int) -> tuple[bool, str]:
@@ -291,7 +283,7 @@ def _trace_slope(n: int) -> tuple[bool, str]:
     p_n = _trace_moment(n, VAR_GAMMA, 1)
     p_next = _trace_moment(n + 1, VAR_GAMMA, 0)
     expected = p_next.coefficient(0) * Fraction(-n, 2)
-    return match_window(p_n, {1: expected}, 1, 1)
+    return match_window(p_n, {1: expected}, 1)
 
 
 def _cumulant_slope(n: int) -> tuple[bool, str]:
@@ -299,7 +291,7 @@ def _cumulant_slope(n: int) -> tuple[bool, str]:
     k_n = _cumulant(n, VAR_GAMMA, 1)
     k_next = _cumulant(n + 1, VAR_GAMMA, 0)
     expected = k_next.coefficient(0) * _rf_m(_M_SQ) * Fraction(-1, 2)
-    return match_window(k_n, {1: expected}, 1, 1)
+    return match_window(k_n, {1: expected}, 1)
 
 
 def _trace_opening(n: int) -> tuple[bool, str]:
@@ -309,7 +301,7 @@ def _trace_opening(n: int) -> tuple[bool, str]:
         n: _rf_m(1), n + 1: _rf_m(-n), n + 2: _rf_m(n * n),
         n + 3: _rf_m(tail_num * Fraction(-(n + 1), 6), _M_SQ),
     }
-    return match_window(series, expected, hi=n + 3)
+    return match_window(series, expected)
 
 
 def _wigner_opening(n: int) -> tuple[bool, str]:
@@ -317,7 +309,7 @@ def _wigner_opening(n: int) -> tuple[bool, str]:
     num2 = Polynomial(SYM_M, (n * (n - 1), 0, n * (n + 1)))
     expected = {n: _rf_m(1), n + 1: _rf_m(-n),
                 n + 2: _rf_m(num2 * Fraction(1, 2), _M_SQ)}
-    return match_window(series, expected, hi=n + 2)
+    return match_window(series, expected)
 
 
 def _cumulant_tail(n: int) -> tuple[bool, str]:
@@ -327,7 +319,7 @@ def _cumulant_tail(n: int) -> tuple[bool, str]:
     m_pow = Polynomial(SYM_M, (0,) * (2 * n - 2) + (1,))
     expected = {2 * n: _rf_m(sign * factorial(n - 1), m_pow),
                 2 * n + 1: _rf_m(-sign * (2 * n - 1) * n * factorial(n - 1), m_pow)}
-    return match_window(series, expected, hi=2 * n + 1)
+    return match_window(series, expected)
 
 
 def conjecture_checks(max_n: int) -> list[Check]:

@@ -129,6 +129,22 @@ class TestRationalFunction:
         t = RationalFunction(pm(-1, 0, -1), pm(0, 0, 1))
         assert str(t) == "-(M^2+1)/M^2"
 
+    def test_constant_factor_only_scales(self, monkeypatch):
+        # A constant RationalFunction factor takes the int and Fraction path:
+        # the numerator and content are scaled, and no root is divided out.
+        from delaymoments import algebra
+
+        r = RationalFunction(pm(0, 3), pm(-1, 0, 1) * pm(2, 1))
+        factors = {value: RationalFunction.constant("M", value)
+                   for value in (6, -1, Fraction(-3, 4))}
+        canonical = []
+        real = algebra._canonical
+        monkeypatch.setattr(algebra, "_canonical",
+                            lambda *args: canonical.append(args) or real(*args))
+        for value, constant in factors.items():
+            assert r * constant == r * value  # equal fields
+        assert canonical == []
+
     def test_refusal_without_integer_roots_is_immediate(self):
         # The denominator used to be factored by trying every divisor of
         # its constant term, which hung for large constants.
@@ -325,6 +341,17 @@ class TestTruncatedSeries:
             operand = series(variable, {0: 1}, operand_order(variable, 3, b.degree))
             assert operand.times_m_polynomial(b).order >= 3, variable
         assert operand_order(VAR_GAMMA, 3, 0, 5) == 0
+
+        # An operand without coefficients, with its leading power given far
+        # beyond its order or not, still loses p.degree powers.
+        for operand in (series(VAR_INV_M, {}, 3, min_power=10),
+                        TruncatedSeries.zero(VAR_INV_M, 3)):
+            assert operand.times_m_polynomial(pm(0, 0, 1)).order == 1
+        # The zero polynomial gives zero at the operand's order.
+        for operand in (*(series(v, {0: 1, 2: 3}, 4) for v in VARIABLES),
+                        TruncatedSeries.zero(VAR_INV_M, 3)):
+            product = operand.times_m_polynomial(pm())
+            assert product.is_zero and product.order == operand.order, operand
 
     def test_evaluate(self):
         s = series(VAR_INV_M, {0: RationalFunction(pg(1), pg(1, 1)), 2: 1}, 2)

@@ -441,6 +441,36 @@ def test_absorption_coefficients_need_no_root_search(monkeypatch):
     assert searched == []
 
 
+def test_generated_shapes_are_not_revalidated(monkeypatch):
+    # Cycle-type cores and the shapes `_cell_chains` grows cell by cell are
+    # built by the engine, so no Partition is validated for them.
+    from delaymoments import engine, partitions
+
+    mu = partitions.Partition((2, 1))
+    real = partitions.Partition.__new__
+    validated = []
+
+    def counting(cls, parts=()):
+        validated.append(parts)
+        return real(cls, parts)
+
+    caches = (engine._reflection_gamma, engine._reflection_inv_gamma,
+              engine._durfee_weighted_sum, engine._durfee_row, engine._cell_chains,
+              engine._dim_content_weight, partitions.enumerate_partitions,
+              partitions.character_row, partitions.skew_tableaux,
+              partitions._dimension)
+    for cached in caches:
+        cached.cache_clear()
+    monkeypatch.setattr(partitions.Partition, "__new__", staticmethod(counting))
+    try:
+        engine._reflection_gamma(mu, 4)
+        engine._reflection_inv_gamma(mu, 8)
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert validated == []
+
+
 def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
     # The cycle-type terms are summed as integer polynomials: before the
     # prefactor rising_factorial(mu)**2 is built, no Fraction polynomial

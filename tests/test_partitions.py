@@ -119,6 +119,21 @@ def test_partition_boundary():
     assert p.contains((2, 1)) and not p.contains((1, 1, 1, 1))
 
 
+def test_parts_must_be_integers():
+    # Nothing rounds or parses a part: Partition([2.5, 1]) used to be (2, 1)
+    # and delay_schur_moment([1.9], ...) the moment of shape (1).
+    for bad, message in (([2.5, 1], "parts must be integers: (2.5, 1)"),
+                         (["3", "1"], "parts must be integers: ('3', '1')"),
+                         ((2.0,), "parts must be integers: (2.0,)")):
+        with pytest.raises(ValueError) as exc:
+            Partition(bad)
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match="parts must be integers"):
+        delay_schur_moment([1.9], "gamma", 1)
+    # Text is still read as integers.
+    assert Partition.parse("3,1") == Partition([3, 1])
+
+
 def test_cached_products_validate_raw_tuples():
     # The cached entry points see outside input too; a non-partition is
     # refused on the cache miss instead of being expanded.

@@ -242,6 +242,13 @@ def test_non_integer_order_or_index_is_refused_at_the_call(call):
 
 
 @pytest.mark.parametrize("regime", VARIABLES)
+def test_reflection_moment_refuses_a_negative_order(regime):
+    # As delay_schur_moment and RegimeRequest do, before the regime is chosen.
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        reflection_schur_moment((2, 1), regime, -1)
+
+
+@pytest.mark.parametrize("regime", VARIABLES)
 def test_leading_power_is_the_lowest_nonzero_coefficient(regime):
     order = {VAR_GAMMA: 2, VAR_INV_GAMMA: 5, VAR_INV_M: 3}[regime]
     args = {"partition": {"partition": (2, 1)}, "n": {"n": 2}, None: {}}
