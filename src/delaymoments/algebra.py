@@ -40,8 +40,8 @@ VARIABLE_SYMBOL = {variable: next((s, e) for s, e in powers.items() if e)
 
 
 def require_int(name: str, value) -> None:
-    """Refuse an order or index that is not an int, at the call."""
-    if not isinstance(value, int):
+    """Refuse an order or index that is not an int (a bool is not), at the call."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -8,13 +8,15 @@ eval        evaluate a statistic numerically in several regimes and compare
 conjecture  run the conjectured-pattern validators and print a report
 
 Exit codes: 0 success, 1 hard verification failure, 2 usage or input error.
+The `delaymoments` command enters through `run()`, which ends the process
+with os._exit once the atexit callbacks have run and the streams are flushed.
 Timing goes to stderr so stdout stays byte-for-byte deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import atexit
 import os
 import sys
 import time
@@ -125,6 +127,9 @@ def document_for_series(sreq: StatisticRequest, series: TruncatedSeries) -> dict
 
 
 def render_json(document: dict) -> str:
+    # Imported here so that text, latex and eval requests skip loading json.
+    import json
+
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
@@ -379,13 +384,39 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # Stdout's reader has gone: let the flush at exit write to the null device.
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), 1)
-        print("error: standard output was closed", file=sys.stderr)
-        return 2
+        return _closed_stdout()
     return code
 
 
+def _closed_stdout() -> int:
+    """Stdout's reader has gone: point fd 1 at the null device, so that a
+    later flush of what is still buffered succeeds, and report it."""
+    with open(os.devnull, "w") as devnull:
+        os.dup2(devnull.fileno(), 1)
+    print("error: standard output was closed", file=sys.stderr)
+    return 2
+
+
+def run() -> None:
+    """Entry point of the `delaymoments` command; never returns.  Runs
+    `main()` and ends the process without the interpreter's teardown, which
+    only frees memory (the caches, the modules) that the exiting process
+    gives back anyway.  As the teardown would, it first runs the atexit
+    callbacks and then flushes the standard streams."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help, or a usage error (2)
+        code = exc.code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _closed_stdout()
+    sys.stderr.flush()
+    # os._exit neither flushes nor closes anything: every file a command
+    # opens (a future `--trace FILE` too) must be closed before main returns.
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

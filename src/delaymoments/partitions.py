@@ -51,7 +51,7 @@ class Partition(tuple):
 
     def __new__(cls, parts: Iterable[int] = ()):
         ps = tuple(parts)
-        if not all(isinstance(p, int) for p in ps):
+        if not all(isinstance(p, int) and not isinstance(p, bool) for p in ps):
             raise ValueError(f"parts must be integers: {ps}")
         for a, b in zip(ps, ps[1:]):
             if a < b:

@@ -268,6 +268,69 @@ def test_closed_stdout_is_a_usage_error(argv, unbuffered):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+# The `delaymoments` command ends its process with os._exit, which flushes
+# nothing: these run it cold with stdout block-buffered (PYTHONUNBUFFERED
+# unset), as in a pipe.
+def run_entry(*argv, setup=""):
+    """Run `setup`, then `cli.run()` on `argv`, in a fresh interpreter
+    without `site` (-S), so that no `.pth` file imports or registers
+    anything first."""
+    return run_python("-S", "-c", f"{setup}\nfrom delaymoments import cli\ncli.run()\n",
+                      *argv, PYTHONUNBUFFERED=None)
+
+
+def test_cold_stdout_is_complete(capsys):
+    # Above the 8 KiB block buffer, so part of it is still buffered at the end.
+    argv = ("verify", "--scope", "all", "--json")
+    code, out, err = run_python("-m", "delaymoments.cli", *argv, PYTHONUNBUFFERED=None)
+    assert (code, err) == (0, "")
+    assert len(out.encode()) > 8192
+    assert run_cli(capsys, *argv)[:2] == (0, out)
+
+
+def test_cold_exit_runs_atexit_callbacks_and_flushes_their_output():
+    code, out, err = run_entry(
+        "series", "--schur", "2", "--regime", "inv-m", "--order", "2",
+        setup="import atexit\natexit.register(print, 'atexit callback ran')")
+    assert code == 0 and err.startswith("# computed in "), err
+    assert out == SERIES_TEXT["--schur 2 --regime inv-m --order 2"] + "atexit callback ran\n"
+
+
+_PLANT_HARD_FAILURE = (
+    "from delaymoments import reference\n"
+    "from delaymoments.algebra import VAR_GAMMA, Polynomial, RationalFunction\n"
+    "check = reference._expansion_check(\n"
+    "    'intro.probe', 'probe coefficient',\n"
+    "    lambda: RationalFunction(Polynomial('g', (0, 0, 1))),\n"
+    "    ((VAR_GAMMA, {1: 5, 2: 1}, 2),))\n"
+    "reference.all_checks = lambda *args, **kwargs: [check]\n")
+
+
+# Exit 0 and 2 come from argparse's SystemExit here, 1 from main's return.
+@pytest.mark.parametrize("argv, setup, want_code, want_out, want_err", [
+    (("series", "--help"), "", 0, "usage: delaymoments series ", ""),
+    (("verify", "--scope", "intro"), _PLANT_HARD_FAILURE, 1,
+     "FAIL [HARD] intro.probe: probe coefficient  (", ""),
+    (("series", "--schur", "1", "--regime", "bogus", "--order", "0"), "", 2,
+     "", "usage: delaymoments series "),
+], ids=["help", "hard-failure", "bad-choice"])
+def test_cold_exit_codes(argv, setup, want_code, want_out, want_err):
+    code, out, err = run_entry(*argv, setup=setup)
+    assert code == want_code, err
+    assert out.startswith(want_out) if want_out else out == ""
+    assert err.startswith(want_err) and "Traceback" not in err
+
+
+def test_text_series_does_not_import_json():
+    # json serves only --format json and verify --json.
+    code, out, err = run_entry(
+        "series", "--schur", "1", "--regime", "inv-m", "--order", "0",
+        setup="import atexit, sys\natexit.register(lambda: print('json' in sys.modules))")
+    assert code == 0, err
+    assert out.startswith("statistic: Schur moment, shape 1\n")
+    assert out.endswith("\nFalse\n")
+
+
 def test_eval_cross_regime(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "--wigner-moment", "1", "--m-value", "20",

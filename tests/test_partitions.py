@@ -124,7 +124,8 @@ def test_parts_must_be_integers():
     # and delay_schur_moment([1.9], ...) the moment of shape (1).
     for bad, message in (([2.5, 1], "parts must be integers: (2.5, 1)"),
                          (["3", "1"], "parts must be integers: ('3', '1')"),
-                         ((2.0,), "parts must be integers: (2.0,)")):
+                         ((2.0,), "parts must be integers: (2.0,)"),
+                         ([True, True], "parts must be integers: (True, True)")):
         with pytest.raises(ValueError) as exc:
             Partition(bad)
         assert str(exc.value) == message

@@ -226,6 +226,7 @@ def test_statistic_request_rejects_a_stray_argument(kind, argument):
 @pytest.mark.parametrize("call", [
     lambda: RegimeRequest(VAR_GAMMA, 1.5),
     lambda: RegimeRequest(VAR_GAMMA, None),
+    lambda: RegimeRequest(VAR_GAMMA, True),
     lambda: StatisticRequest("cumulant", RegimeRequest(VAR_GAMMA, 2), n=2.5),
     lambda: StatisticRequest("wigner_moment", RegimeRequest(VAR_GAMMA, 2)),
     lambda: delay_schur_moment((1,), VAR_GAMMA, 2.0),
@@ -233,9 +234,9 @@ def test_statistic_request_rejects_a_stray_argument(kind, argument):
     lambda: wigner_moment(2.0, RegimeRequest(VAR_GAMMA, 2)),
     lambda: cumulant("2", RegimeRequest(VAR_GAMMA, 2)),
     lambda: conjecture_checks(3.0),
-], ids=["regime-order", "regime-order-none", "statistic-n", "statistic-n-missing",
-        "delay-order", "reflection-order", "wigner-n", "cumulant-n",
-        "conjecture-max-n"])
+], ids=["regime-order", "regime-order-none", "regime-order-bool", "statistic-n",
+        "statistic-n-missing", "delay-order", "reflection-order", "wigner-n",
+        "cumulant-n", "conjecture-max-n"])
 def test_non_integer_order_or_index_is_refused_at_the_call(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
