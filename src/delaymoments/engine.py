@@ -112,10 +112,23 @@ def geometric_determinant(mu: PartitionLike, rho: PartitionLike) -> int:
     return c_prod * skew_tableaux(rp, mp) // factorial(len(contents))
 
 
-@cache
 def _dim_content_weight(parts: tuple[int, ...]) -> int:
     t = content_product(parts)
     return dimension(parts) * t * t
+
+
+@cache
+def _strip_weight(kappa: tuple[int, ...], beta: tuple[int, ...], target: int) -> int:
+    """Sum of dimension * content_product**2 over the strip expansion of
+    s_kappa * p_beta, restricted to shapes whose Durfee square has side
+    `target`.  The strips of beta's first part come first, and the rest of
+    beta is summed from each shape they reach, so cycle types that share a
+    tail share its sums; the recursion is length(beta) deep."""
+    if not beta:
+        return _dim_content_weight(kappa) if durfee(kappa) == target else 0
+    rest = _shape(beta[1:])
+    return sum(c * _strip_weight(nu, rest, target)
+               for nu, c in strip_expansion(kappa, _shape(beta[:1]), target).items())
 
 
 @cache
@@ -139,39 +152,16 @@ def _durfee_row(a: tuple[int, ...], m: int, target: int) -> dict[tuple[int, ...]
         m! * _durfee_weighted_sum(a, b, target)
             = sum over beta of class_size(beta) * chi^b(beta) * I(beta),
 
-    with I(beta) the weight summed over the strip expansion of s_a * p_beta at
-    side `target`.  The fixed points of beta only add single cells, so I is
-    the strip expansion of the rest of beta continued by `_cell_chains`.
+    with I(beta) = `_strip_weight(a, beta, target)`.
     """
     row: dict[tuple[int, ...], int] = defaultdict(int)
     for beta in enumerate_partitions(m):
-        fixed = beta.count(1)
-        core = _shape(beta[:len(beta) - fixed])
-        inner = sum(c * _cell_chains(kappa, fixed, target)
-                    for kappa, c in strip_expansion(a, core, target).items())
+        inner = _strip_weight(a, beta, target)
         if inner:
             weight = class_size(beta) * inner
             for b, chi in character_row(beta).items():
                 row[b] += weight * chi
     return {b: s // factorial(m) for b, s in row.items() if s}
-
-
-@cache
-def _cell_chains(kappa: tuple[int, ...], k: int, target: int) -> int:
-    """Sum of dimension * content_product**2 over the shapes nu of Durfee side
-    `target` that k single cells added one by one turn kappa into, each nu
-    once per chain: the weighed expansion of s_kappa * p_1**k."""
-    side = durfee(kappa)
-    if k == 0:
-        return _dim_content_weight(kappa) if side == target else 0
-    total = 0
-    for i, p in enumerate(kappa + (0,)):
-        # A cell may go at the end of row i when the row above is longer; it
-        # lies on the diagonal when p == i.
-        if (i == 0 or kappa[i - 1] > p) and (p != i or side < target):
-            grown = _shape(kappa[:i] + (p + 1,) + kappa[i + 1:])
-            total += _cell_chains(grown, k - 1, target)
-    return total
 
 
 def durfee_filtered_lr_sum(mu: PartitionLike, rho: PartitionLike) -> int:
@@ -208,11 +198,11 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     |mu| + m - length(beta) a coefficient rational in g with denominator a
     power of (1+g).
 
-    Each coefficient sums dimension * content_product**2 over the strip
-    expansion of s_mu * p_beta bounded at mu's Durfee square; strips only add
-    cells, so every kept shape has exactly that square.  Each power is then
-    one sum over the known root g = -1, the factors prod (1 + q*g) of the
-    cycle types riding along as integer polynomials.
+    The shape sum of each cycle type is `_strip_weight(mu, beta, d)` at
+    mu's Durfee side d: strips only add cells, so no shape of s_mu * p_beta
+    has a smaller square, and those with a larger one are pruned.  Each
+    power is then one sum over the known root g = -1, the factors
+    prod (1 + q*g) of the cycle types riding along as integer polynomials.
     Cycle types without fixed points satisfy length <= m/2, so weights
     m <= 2*(order + |mu|) exhaust every term that can touch powers <= order.
     """
@@ -229,8 +219,7 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
             exponent = n + m - ell
             if exponent - 2 * n > order:
                 continue
-            inner = sum(c * _dim_content_weight(nu)
-                        for nu, c in strip_expansion(mp, beta, d_mu).items())
+            inner = _strip_weight(mp, beta, d_mu)
             if inner:
                 scalar = Fraction((-1) ** ell * class_size(beta) * inner,
                                   factorial(m) * factorial(n + m))

@@ -186,12 +186,16 @@ def durfee(lam: PartitionLike) -> int:
     return d
 
 
+def _require_inside(inner: Partition, outer: Partition) -> None:
+    if not contains(inner, outer):
+        raise ContainmentError(f"{inner} does not fit inside {outer}")
+
+
 def skew_contents(outer: PartitionLike,
                   inner: PartitionLike = Partition()) -> tuple[int, ...]:
     """Contents j - i of the cells of outer/inner, row by row (0-based)."""
     op, ip = as_parts(outer), as_parts(inner)
-    if not contains(ip, op):
-        raise ContainmentError(f"{ip} does not fit inside {op}")
+    _require_inside(ip, op)
     return tuple(j - i for i, p in enumerate(op)
                  for j in range(ip[i] if i < len(ip) else 0, p))
 
@@ -199,8 +203,10 @@ def skew_contents(outer: PartitionLike,
 @_cache_by_shape(2)
 def skew_tableaux(outer: PartitionLike, inner: PartitionLike) -> int:
     """Number of standard tableaux of the skew shape outer/inner, which must
-    be contained: the largest entry sits in a corner of outer outside inner,
-    so the count is the sum over those corners with the corner removed."""
+    be contained (else ContainmentError): the largest entry sits in a corner
+    of outer outside inner, so the count is the sum over those corners with
+    the corner removed."""
+    _require_inside(inner, outer)
     if sum(outer) == sum(inner):
         return 1
     total = 0

@@ -63,6 +63,11 @@ class RegimeRequest(namedtuple("RegimeRequest", "regime order")):
         return super().__new__(cls, regime, order)
 
 
+def _require_request(req: RegimeRequest) -> None:
+    if not isinstance(req, RegimeRequest):
+        raise ValueError(f"request must be a RegimeRequest, got {req!r}")
+
+
 class StatisticRequest(namedtuple("StatisticRequest", "kind request partition n")):
     """A statistic to compute: its `STATISTICS` kind, the one argument that
     kind takes (`partition` or `n`, else neither) and the regime request.
@@ -77,8 +82,7 @@ class StatisticRequest(namedtuple("StatisticRequest", "kind request partition n"
                 partition: Partition | None = None, n: int | None = None):
         if kind not in STATISTICS:
             raise ValueError(f"unknown statistic kind {kind!r}")
-        if not isinstance(request, RegimeRequest):
-            raise ValueError(f"request must be a RegimeRequest, got {request!r}")
+        _require_request(request)
         takes = STATISTICS[kind].argument
         for name, value in (("partition", partition), ("n", n)):
             if name != takes and value is not None:
@@ -98,6 +102,7 @@ class StatisticRequest(namedtuple("StatisticRequest", "kind request partition n"
 def power_sum_moment(lam: PartitionLike, req: RegimeRequest) -> TruncatedSeries:
     """Moment of the product of traces Tr(Q^lam_i), via the character
     expansion of power sums in the Schur basis."""
+    _require_request(req)
     lp = as_parts(lam)
     if not lp:
         raise ValueError("power sums need a non-empty partition")
@@ -125,6 +130,7 @@ def _wigner_moment(n: int, regime: str, order: int) -> TruncatedSeries:
 def wigner_moment(n: int, req: RegimeRequest) -> TruncatedSeries:
     """Moment of the normalized time delay: <tau_W**n> = <p_(1^n)(Q)> / M**n,
     which is the dimension-weighted sum of Schur moments over shapes of n."""
+    _require_request(req)
     require_int("n", n)
     if n < 1:
         raise ValueError("moment index must be >= 1")
@@ -143,6 +149,7 @@ def _cumulant(n: int, regime: str, order: int) -> TruncatedSeries:
 def cumulant(n: int, req: RegimeRequest) -> TruncatedSeries:
     """n-th cumulant of the normalized time delay, by the moment-cumulant
     recursion in exact series arithmetic."""
+    _require_request(req)
     require_int("n", n)
     if n < 1:
         raise ValueError("cumulant index must be >= 1")

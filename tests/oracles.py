@@ -223,13 +223,18 @@ def _character(rho: tuple[int, ...], beta: tuple[int, ...]) -> int:
     return frobenius_character(rho, beta)
 
 
-def inv_m_inner_sum(mu: tuple[int, ...], beta: tuple[int, ...]) -> int:
-    """Sum over rho of chi^rho(beta) times `durfee_weighted_sum(mu, rho)` at
-    mu's Durfee side: the shape sum of the large-M expansion for cycle type
-    beta, since p_beta = sum_rho chi^rho(beta) s_rho."""
-    side = durfee_side(mu)
-    return sum(_character(rho, beta) * durfee_weighted_sum(mu, rho, side)
+def strip_weight(a: tuple[int, ...], beta: tuple[int, ...], side: int) -> int:
+    """Sum over rho of chi^rho(beta) times `durfee_weighted_sum(a, rho, side)`:
+    the weighted shape sum of s_a * p_beta at the given Durfee side, since
+    p_beta = sum_rho chi^rho(beta) s_rho."""
+    return sum(_character(rho, beta) * durfee_weighted_sum(a, rho, side)
                for rho in shapes(sum(beta)))
+
+
+def inv_m_inner_sum(mu: tuple[int, ...], beta: tuple[int, ...]) -> int:
+    """`strip_weight` at mu's Durfee side: the shape sum of the large-M
+    expansion for cycle type beta."""
+    return strip_weight(mu, beta, durfee_side(mu))
 
 
 def inv_m_reflection_coefficients(mu: tuple[int, ...],

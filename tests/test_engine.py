@@ -42,6 +42,7 @@ from oracles import (
     hook_dimension,
     inv_m_reflection_coefficients,
     shapes,
+    strip_weight,
 )
 
 
@@ -143,6 +144,21 @@ class TestDurfeeFilteredSum:
                         for side in range(4):
                             assert engine._durfee_weighted_sum(a, b, side) == \
                                 durfee_weighted_sum(a, b, side), (a, b, side)
+
+    def test_strip_weight_matches_independent_oracle(self):
+        # Every shape a and cycle type beta, with and without fixed points,
+        # up to total weight 6, at every side from 0 to 3: the kernel
+        # against characters from the alternant times brute-force products.
+        from delaymoments import engine
+
+        engine._strip_weight.cache_clear()
+        for total in range(0, 7):
+            for weight in range(total + 1):
+                for a in shapes(weight):
+                    for beta in shapes(total - weight):
+                        for side in range(4):
+                            assert engine._strip_weight(a, beta, side) == \
+                                strip_weight(a, beta, side), (a, beta, side)
 
     def test_absorption_regimes_expand_no_schur_product(self):
         # gamma and inv-gamma reach their Schur products through the strip
@@ -441,9 +457,20 @@ def test_absorption_coefficients_need_no_root_search(monkeypatch):
     assert searched == []
 
 
+def _clear_engine_caches():
+    """Empty every cache of `engine` and `partitions`, found through
+    `cache_clear`, so that no warm entry hides the work a test watches."""
+    from delaymoments import engine, partitions
+
+    for module in (engine, partitions):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 def test_generated_shapes_are_not_revalidated(monkeypatch):
-    # Cycle-type cores and the shapes `_cell_chains` grows cell by cell are
-    # built by the engine, so no Partition is validated for them.
+    # Cycle-type heads and tails, and the shapes the strip-weight kernel
+    # reaches, are built by the engine, so no Partition is validated for them.
     from delaymoments import engine, partitions
 
     mu = partitions.Partition((2, 1))
@@ -454,20 +481,14 @@ def test_generated_shapes_are_not_revalidated(monkeypatch):
         validated.append(parts)
         return real(cls, parts)
 
-    caches = (engine._reflection_gamma, engine._reflection_inv_gamma,
-              engine._durfee_weighted_sum, engine._durfee_row, engine._cell_chains,
-              engine._dim_content_weight, partitions.enumerate_partitions,
-              partitions.character_row, partitions.skew_tableaux,
-              partitions._dimension)
-    for cached in caches:
-        cached.cache_clear()
+    _clear_engine_caches()
     monkeypatch.setattr(partitions.Partition, "__new__", staticmethod(counting))
     try:
         engine._reflection_gamma(mu, 4)
         engine._reflection_inv_gamma(mu, 8)
+        engine._reflection_inv_m(mu, 2)
     finally:
-        for cached in caches:
-            cached.cache_clear()
+        _clear_engine_caches()
     assert validated == []
 
 
@@ -503,11 +524,11 @@ def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
     monkeypatch.setattr(algebra, "_new", counted("rational functions", algebra._new))
     monkeypatch.setattr(engine, "rising_factorial", prefactor)
     monkeypatch.setattr(engine, "strip_expansion", expansion)
-    engine._reflection_inv_m.cache_clear()
+    _clear_engine_caches()
     try:
         engine._reflection_inv_m((3, 2), 2)
     finally:
-        engine._reflection_inv_m.cache_clear()
+        _clear_engine_caches()
     # The bare sum has powers 5 to 12 of 1/M.
     [counts] = at_prefactor
     assert counts["polynomials"] == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delaymoments.partitions import (
+    ContainmentError,
     Partition,
     WeightMismatchError,
     character,
@@ -147,6 +148,17 @@ def test_cached_products_validate_raw_tuples():
         with pytest.raises(ValueError) as exc:
             entry()
         assert str(exc.value) == message
+
+
+def test_skew_tableaux_refuses_shapes_that_do_not_nest():
+    # Equal or smaller weight is not containment; the message is the one
+    # skew_contents gives for the same pair.
+    for outer, inner in (((2,), (1, 1)), ((3,), (1, 1)), ((2, 1), (3,))):
+        with pytest.raises(ContainmentError) as exc:
+            skew_tableaux(outer, inner)
+        with pytest.raises(ContainmentError) as expected:
+            skew_contents(outer, inner)
+        assert str(exc.value) == str(expected.value)
 
 
 def test_cached_entry_points_accept_any_partition_input():

@@ -139,6 +139,19 @@ def test_statistic_request_refuses_a_request_that_is_not_a_regime_request():
                 derive()
 
 
+@pytest.mark.parametrize("compute", [
+    lambda req: power_sum_moment((2, 1), req),
+    lambda req: wigner_moment(2, req),
+    lambda req: cumulant(2, req),
+    lambda req: variance(req),
+], ids=["power-sum", "wigner-moment", "cumulant", "variance"])
+def test_statistic_functions_refuse_a_request_that_is_not_a_regime_request(compute):
+    # The same check and message as StatisticRequest's.
+    for bad in ((VAR_GAMMA, 2), None):
+        with pytest.raises(ValueError, match=r"^request must be a RegimeRequest, got "):
+            compute(bad)
+
+
 # inv-gamma series open at higher powers, so its sweep reaches further.
 SWEEP_ORDERS = {VAR_INV_M: range(4), VAR_GAMMA: range(4),
                 VAR_INV_GAMMA: range(0, 9, 2)}
