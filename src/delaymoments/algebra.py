@@ -11,8 +11,10 @@ powers up to `order` are exact, powers above it are never emitted.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import wraps
 from math import gcd as int_gcd, isqrt, lcm
 from types import MappingProxyType
 
@@ -971,8 +973,6 @@ class TruncatedSeries:
 
     def scale(self, factor) -> TruncatedSeries:
         """Multiply every coefficient by a scalar in the coefficient symbol."""
-        if isinstance(factor, Polynomial):
-            factor = RationalFunction(factor)
         return TruncatedSeries(self.variable, {p: c * factor for p, c in self.coeffs.items()},
                                self.order)
 
@@ -1000,21 +1000,43 @@ class TruncatedSeries:
                                {p: c for p, c in self.coeffs.items() if p <= order},
                                order)
 
+    @classmethod
+    def combination(cls, variable: str,
+                    pairs: list[tuple[Polynomial, TruncatedSeries]],
+                    g_power: int = 0) -> TruncatedSeries:
+        """g**g_power times the sum of p * s over pairs of a polynomial p in
+        M and a series s.  Where M carries the expansion variable, p * s is
+        exact through s.order - p.degree (s.order for the zero polynomial),
+        else through s.order.  Each power is one
+        `RationalFunction.from_root_terms` sum, so it is reduced once."""
+        powers = VARIABLE_POWER[variable]
+        m_step, g_shift = powers[SYM_M], powers[SYM_G] * g_power
+        order = min(s.order + m_step * max(p.degree, 0) for p, s in pairs) + g_shift
+        terms: dict[int, list] = {}
+        for p, s in pairs:
+            # M**d moves the powers by m_step * d, or p scales every coefficient.
+            scale, ints = _integer_coeffs(p)
+            parts = ([(m_step * d + g_shift, Fraction(b, scale), _ONE)
+                      for d, b in enumerate(ints) if b] if m_step
+                     else [(g_shift, Fraction(1, scale), tuple(ints))] if ints else [])
+            for q, c in s.coeffs.items():
+                bottoms = [r for r, m in c._roots for _ in range(m)]
+                for shift, w, f in parts:
+                    if q + shift <= order:
+                        terms.setdefault(q + shift, []).append(
+                            (w / c._content, (), bottoms, _imul(f, c._num)))
+        k = 0 if powers[SYM_G] else g_power  # g**k scales every coefficient
+        return cls(variable, {j: RationalFunction.from_root_terms(
+            COEFF_SYMBOL[variable], group, num_roots=[0] * k, den_roots=[0] * -k)
+            for j, group in terms.items()}, order)
+
     def times_m_polynomial(self, p: Polynomial) -> TruncatedSeries:
         """Multiply by a polynomial in M: scales when M is the coefficient
-        symbol, else multiplies by p as the exact series of powers 1/M**d,
-        losing p.degree guaranteed powers (none for the zero polynomial)."""
+        symbol, else shifts by the powers 1/M**d of p, losing p.degree
+        guaranteed powers (none for the zero polynomial)."""
         if p.symbol != SYM_M:
             raise VariableMismatchError("expected a polynomial in M")
-        if not VARIABLE_POWER[self.variable][SYM_M]:
-            return self.scale(p)
-        # p is exact at every power; its window only has to keep the
-        # product's order at self.order - p.degree (self.order for the zero
-        # polynomial): order - min_power does when self has a coefficient,
-        # -1 when it has none.
-        window = max(self.order - self.min_power, -1)
-        return self * TruncatedSeries(self.variable, {-d: c for d, c in enumerate(p.coeffs)},
-                                      window)
+        return TruncatedSeries.combination(self.variable, [(p, self)])
 
     def evaluate(self, m_value, gamma_value) -> Fraction:
         """Exact value of the truncated sum at rational M and absorption values."""
@@ -1036,6 +1058,37 @@ class TruncatedSeries:
         inner = ", ".join(f"{p}: {c}" for p, c in self.terms())
         return (f"TruncatedSeries({self.variable}, order={self.order}, "
                 f"{{{inner}}})")
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def widest_series_cache(fn):
+    """Memoize fn(*key, order) -> TruncatedSeries by key alone: the widest
+    series computed answers a lower order by `truncate`, exact since every
+    coefficient through an order is, and only a wider order calls fn
+    again.  `cache_info()` (a truncation is a hit) and `cache_clear()`
+    work as for `functools.cache`."""
+    widest: dict[tuple, TruncatedSeries] = {}
+    counts = [0, 0]  # hits, misses
+
+    @wraps(fn)
+    def lookup(*args):
+        series = widest.get(args[:-1])
+        if series is not None and series.order >= args[-1]:
+            counts[0] += 1
+            return series.truncate(args[-1])
+        counts[1] += 1
+        widest[args[:-1]] = series = fn(*args)
+        return series
+
+    def cache_clear():
+        widest.clear()
+        counts[:] = 0, 0
+
+    lookup.cache_info = lambda: _CacheInfo(*counts, None, len(widest))
+    lookup.cache_clear = cache_clear
+    return lookup
 
 
 def laurent_expand_inverse_power(p: Polynomial, k: int, order: int) -> TruncatedSeries:

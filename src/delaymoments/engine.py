@@ -34,6 +34,7 @@ from .algebra import (
     TruncatedSeries,
     operand_order,
     require_int,
+    widest_series_cache,
 )
 from .partitions import (
     PartitionLike,
@@ -191,7 +192,7 @@ def reflection_schur_moment(mu: PartitionLike, regime: str, order: int) -> Trunc
     raise ValueError(f"unknown regime {regime!r}")
 
 
-@cache
+@widest_series_cache
 def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     """Large-M expansion: the square of the rising factorial times a sum over
     one-free cycle types beta of weight m, each contributing at 1/M power
@@ -233,73 +234,79 @@ def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
     return bare.times_m_polynomial(rising_factorial(mp) ** 2)
 
 
-@cache
+@widest_series_cache
 def _reflection_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
-    """Weak-absorption expansion: coefficient of g**m sums dimension over
-    generalized falling factorial across partitions rho of m, so every
-    coefficient is exact on its own.
+    """Weak-absorption expansion, assembled from `_gamma_coefficient`."""
+    return TruncatedSeries(VAR_GAMMA, {m: _gamma_coefficient(mp, m)
+                                       for m in range(order + 1)}, order)
+
+
+@cache
+def _gamma_coefficient(mp: tuple[int, ...], m: int) -> RationalFunction:
+    """Coefficient of g**m in the weak-absorption expansion: it sums
+    dimension over generalized falling factorial across partitions rho of
+    m, so it is exact on its own.
 
     The rho sum goes over one denominator of known roots, the cell contents
     of the rho, together with the prefactor rising_factorial(mu) * M**m."""
     n = sum(mp)
-    rising_roots = [-c for c in skew_contents(mp)]
-    t_sq = content_product(mp) ** 2
     d_mu = durfee(mp)
-    coeffs: dict[int, RationalFunction] = {}
-    for m in range(order + 1):
-        terms = []
-        for rho in enumerate_partitions(m):
-            s = _durfee_weighted_sum(mp, rho, d_mu)
-            if s:
-                terms.append((dimension(rho) * s, (), skew_contents(rho)))
-        coeffs[m] = RationalFunction.from_root_terms(
-            SYM_M, terms, Fraction((-1) ** m, t_sq * factorial(m) * factorial(n + m)),
-            num_roots=rising_roots + [0] * m)
-    return TruncatedSeries(VAR_GAMMA, coeffs, order)
+    terms = []
+    for rho in enumerate_partitions(m):
+        s = _durfee_weighted_sum(mp, rho, d_mu)
+        if s:
+            terms.append((dimension(rho) * s, (), skew_contents(rho)))
+    return RationalFunction.from_root_terms(
+        SYM_M, terms,
+        Fraction((-1) ** m, content_product(mp) ** 2 * factorial(m) * factorial(n + m)),
+        num_roots=[-c for c in skew_contents(mp)] + [0] * m)
+
+
+@widest_series_cache
+def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
+    """Strong-absorption expansion, assembled from `_inv_gamma_coefficient`;
+    the leading power is |mu|."""
+    return TruncatedSeries(VAR_INV_GAMMA, {k: _inv_gamma_coefficient(mp, k)
+                                           for k in range(sum(mp), order + 1)}, order)
 
 
 @cache
-def _reflection_inv_gamma(mp: tuple[int, ...], order: int) -> TruncatedSeries:
-    """Strong-absorption expansion: the coefficient of 1/g**k sums over pairs
-    (rho containing mu, omega) with |rho| + |omega| = k; every coefficient
-    is exact on its own.  The leading power is |mu|.
+def _inv_gamma_coefficient(mp: tuple[int, ...], k: int) -> RationalFunction:
+    """Coefficient of 1/g**k in the strong-absorption expansion: a sum over
+    pairs (rho containing mu, omega) with |rho| + |omega| = k, so it is
+    exact on its own.
 
     Each pair carries 1/(|omega|! k!): the k! belongs to the dimension-over-
     factorial weight of the shapes of weight k produced by the product
-    expansion, exactly as (n+m)! does in the other two regimes.
-
-    Each pair belongs to exactly one power, so rho is visited once.  Each
-    power is then one sum over known roots: the rising factorials of the
-    omega and rising_factorial(mu)**2 over M**k.
+    expansion, exactly as (n+m)! does in the other two regimes.  The sum
+    goes over known roots: the rising factorials of the omega and
+    rising_factorial(mu)**2 over M**k.
     """
     n = sum(mp)
-    rising_roots = [-c for c in skew_contents(mp)]
-    t_sq = content_product(mp) ** 2
     d_mu = durfee(mp)
-    # weights[k][omega]: integer sum of g_det * s over the rho of weight k - |omega|.
-    weights: dict[int, dict[tuple[int, ...], int]] = {}
-    for rho_weight in range(n, order + 1):
-        for rho in enumerate_partitions(rho_weight):
-            if not rho.contains(mp):
-                continue
-            g_det = geometric_determinant(mp, rho)
-            if not g_det:
-                continue
-            for omega_weight in range(order - rho_weight + 1):
-                row = weights.setdefault(rho_weight + omega_weight, {})
-                for omega in enumerate_partitions(omega_weight):
-                    s = _durfee_weighted_sum(omega, rho, d_mu)
-                    if s:
-                        row[omega] = row.get(omega, 0) + g_det * s
-    coeffs: dict[int, RationalFunction] = {}
-    for k in sorted(weights):
-        terms = [(Fraction(dimension(omega) * w, factorial(sum(omega))),
-                  [-c for c in skew_contents(omega)], ())
-                 for omega, w in weights[k].items()]
-        coeffs[k] = RationalFunction.from_root_terms(
-            SYM_M, terms, Fraction((-1) ** (n + k), t_sq * factorial(k)),
-            num_roots=rising_roots * 2, den_roots=[0] * k)
-    return TruncatedSeries(VAR_INV_GAMMA, coeffs, order)
+    # weights[omega]: integer sum of g_det * s over the rho of weight k - |omega|.
+    weights: dict[tuple[int, ...], int] = {}
+    for rho_weight in range(n, k + 1):
+        omegas = enumerate_partitions(k - rho_weight)
+        for rho, g_det in _containing_shapes(mp, rho_weight):
+            for omega in omegas:
+                s = _durfee_weighted_sum(omega, rho, d_mu)
+                if s:
+                    weights[omega] = weights.get(omega, 0) + g_det * s
+    terms = [(Fraction(dimension(omega) * w, factorial(sum(omega))),
+              [-c for c in skew_contents(omega)], ())
+             for omega, w in weights.items()]
+    return RationalFunction.from_root_terms(
+        SYM_M, terms, Fraction((-1) ** (n + k), content_product(mp) ** 2 * factorial(k)),
+        num_roots=[-c for c in skew_contents(mp)] * 2, den_roots=[0] * k)
+
+
+@cache
+def _containing_shapes(mp: tuple[int, ...], weight: int) -> tuple[tuple, ...]:
+    """(rho, geometric_determinant(mu, rho)) for every rho of `weight` that
+    contains mu with a non-zero determinant."""
+    return tuple((rho, g_det) for rho in enumerate_partitions(weight)
+                 if rho.contains(mp) and (g_det := geometric_determinant(mp, rho)))
 
 
 def delay_schur_moment(lam: PartitionLike, regime: str, order: int) -> TruncatedSeries:
@@ -323,21 +330,23 @@ def delay_schur_moment(lam: PartitionLike, regime: str, order: int) -> Truncated
     return _delay_schur_moment(lp, regime, order)
 
 
-@cache
+@widest_series_cache
 def _delay_schur_moment(lp: tuple[int, ...], regime: str, order: int) -> TruncatedSeries:
-    # The same transform serves every regime: the table in `algebra` says
-    # how the factor B(M) and the division by g**|lam| move the powers, and
-    # `operand_order` how many powers each reflection moment must carry.
+    # Each output power is one sum of +-B(lam, mu) * <s_mu(R)> over mu,
+    # reduced once (`TruncatedSeries.combination`).  The same transform
+    # serves every regime: the table in `algebra` says how the factor B(M)
+    # and the division by g**|lam| move the powers, and `operand_order` how
+    # many powers each reflection moment must carry.
     # A gamma moment that passes the cancellation check leads at g^0 or
     # above; the series reads that from its coefficients.
     weight = sum(lp)
-    total = TruncatedSeries.zero(regime, operand_order(regime, order, 0, -weight))
+    pairs = []
     for mu in subpartitions(lp):
+        b = binomial_determinant(lp, mu)
         inner = reflection_schur_moment(
             mu, regime, operand_order(regime, order, weight - mu.weight, -weight))
-        term = inner.times_m_polynomial(binomial_determinant(lp, mu))
-        total = total + (-term if mu.weight % 2 else term)
-    total = total.times_power(SYM_G, -weight)
+        pairs.append((-b if mu.weight % 2 else b, inner))
+    total = TruncatedSeries.combination(regime, pairs, -weight)
     if regime == VAR_GAMMA and total.min_power < 0:
         raise InternalConsistencyError(
             f"transform of {lp} left a non-zero coefficient "

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from math import comb, factorial
 
 from .algebra import (
@@ -33,6 +33,7 @@ from .algebra import (
     TruncatedSeries,
     operand_order,
     require_int,
+    widest_series_cache,
 )
 from .engine import delay_schur_moment
 from .partitions import (
@@ -106,12 +107,9 @@ def power_sum_moment(lam: PartitionLike, req: RegimeRequest) -> TruncatedSeries:
     lp = as_parts(lam)
     if not lp:
         raise ValueError("power sums need a non-empty partition")
-    total = None
-    for mu, chi in character_row(lp).items():
-        term = delay_schur_moment(mu, req.regime, req.order).scale(chi)
-        total = term if total is None else total + term
-    assert total is not None
-    return total
+    return TruncatedSeries.combination(req.regime, [
+        (Polynomial.constant(SYM_M, chi), delay_schur_moment(mu, req.regime, req.order))
+        for mu, chi in character_row(lp).items()])
 
 
 def _normalised_power_sum(lam: tuple[int, ...], k: int, regime: str,
@@ -122,7 +120,7 @@ def _normalised_power_sum(lam: tuple[int, ...], k: int, regime: str,
     return series.times_power(SYM_M, -k).truncate(order)
 
 
-@cache
+@widest_series_cache
 def _wigner_moment(n: int, regime: str, order: int) -> TruncatedSeries:
     return _normalised_power_sum((1,) * n, n, regime, order)
 
@@ -137,7 +135,7 @@ def wigner_moment(n: int, req: RegimeRequest) -> TruncatedSeries:
     return _wigner_moment(n, req.regime, req.order)
 
 
-@cache
+@widest_series_cache
 def _cumulant(n: int, regime: str, order: int) -> TruncatedSeries:
     acc = _wigner_moment(n, regime, order)
     for i in range(1, n):

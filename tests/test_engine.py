@@ -12,6 +12,7 @@ from delaymoments.algebra import (
     VAR_GAMMA,
     VAR_INV_GAMMA,
     VAR_INV_M,
+    operand_order,
 )
 from delaymoments.engine import (
     InternalConsistencyError,
@@ -26,6 +27,7 @@ from delaymoments.engine import (
 )
 from delaymoments.partitions import (
     ContainmentError,
+    Partition,
     content_product,
     dimension,
     durfee,
@@ -458,11 +460,11 @@ def test_absorption_coefficients_need_no_root_search(monkeypatch):
 
 
 def _clear_engine_caches():
-    """Empty every cache of `engine` and `partitions`, found through
+    """Empty every cache of `engine`, `partitions` and `stats`, found through
     `cache_clear`, so that no warm entry hides the work a test watches."""
-    from delaymoments import engine, partitions
+    from delaymoments import engine, partitions, stats
 
-    for module in (engine, partitions):
+    for module in (engine, partitions, stats):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -543,3 +545,104 @@ def test_inv_m_coefficients_match_independent_oracle():
                       ((2, 1), 0)):
         series = reflection_schur_moment(mu, VAR_INV_M, order)
         assert dict(series.coeffs) == inv_m_reflection_coefficients(mu, order), mu
+
+
+# The six series memos keep the widest series per key and answer a lower
+# order by truncation.  Each case: (module, function, key, low, high, keys),
+# where `keys` counts the memo entries one call fills (the cumulant recursion
+# fills one per index below it too).
+_P21 = Partition((2, 1))
+MEMO_CASES = [
+    ("engine", "_reflection_inv_m", (_P21,), 0, 2, 1),
+    ("engine", "_reflection_gamma", (_P21,), 1, 4, 1),
+    ("engine", "_reflection_inv_gamma", (_P21,), 3, 7, 1),
+] + [
+    (module, name, (arg, regime), low, high, keys)
+    for regime, low, high in ((VAR_INV_M, 0, 2), (VAR_GAMMA, 0, 3), (VAR_INV_GAMMA, 3, 6))
+    for module, name, arg, keys in (("engine", "_delay_schur_moment", _P21, 1),
+                                    ("stats", "_wigner_moment", 2, 1),
+                                    ("stats", "_cumulant", 2, 2))
+]
+
+
+@pytest.mark.parametrize("module,name,key,low,high,keys", MEMO_CASES,
+                         ids=[f"{c[1]}-{c[2][-1]}" for c in MEMO_CASES])
+def test_widest_series_memo(module, name, key, low, high, keys):
+    from delaymoments import engine, stats
+
+    memo = getattr({"engine": engine, "stats": stats}[module], name)
+    _clear_engine_caches()
+    try:
+        cold = memo(*key, low)
+        _clear_engine_caches()
+        memo(*key, high)
+        warm = memo(*key, low)
+        assert warm == cold and warm.min_power == cold.min_power
+
+        # Descending orders: the first misses, every later one is a hit.
+        _clear_engine_caches()
+        for order in range(high, low - 1, -1):
+            memo(*key, order)
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (high - low, keys, keys)
+        # A wider order computes again, once per entry.
+        wider = memo(*key, high + 1)
+        assert memo.cache_info().misses == 2 * keys
+        assert wider.order == high + 1 and memo(*key, high) == wider.truncate(high)
+    finally:
+        _clear_engine_caches()
+
+
+@pytest.mark.parametrize("regime,orders", [
+    (VAR_INV_M, (0, 2)), (VAR_GAMMA, (0, 2)), (VAR_INV_GAMMA, (5, 8))])
+def test_transform_matches_series_arithmetic(regime, orders):
+    # The transform as plain series arithmetic, from public calls: the sum
+    # over mu inside lam of (-1)^|mu| B(lam, mu) * <s_mu(R)>, divided by
+    # g^|lam|.  The engine sums each output power in one reduction.
+    from delaymoments import engine
+
+    for weight in range(1, 6):
+        for lam in enumerate_partitions(weight):
+            for order in orders:
+                total = None
+                for mu in subpartitions(lam):
+                    inner = reflection_schur_moment(
+                        mu, regime, operand_order(regime, order, weight - mu.weight, -weight))
+                    term = inner.times_m_polynomial(binomial_determinant(lam, mu))
+                    term = -term if mu.weight % 2 else term
+                    total = term if total is None else total + term
+                want = total.times_power(SYM_G, -weight).truncate(order)
+                engine._delay_schur_moment.cache_clear()
+                got = delay_schur_moment(lam, regime, order)
+                assert got == want and got.min_power == want.min_power, (lam, order)
+
+
+def test_per_power_caches_build_each_coefficient_once():
+    # The heavy absorption requests of the command line build every
+    # reflection coefficient once: the misses of the per-power caches are
+    # the distinct (shape, power) pairs the transform asks for.  Cumulant 6
+    # reaches every shape of weight <= 6 through the delay moments of the
+    # shapes of weight 1-6.
+    from delaymoments import engine
+    from delaymoments.stats import RegimeRequest, cumulant
+
+    shapes_upto_6 = [mu for w in range(7) for mu in enumerate_partitions(w)]
+    _clear_engine_caches()
+    try:
+        # gamma: mu sits inside a shape of weight 6, so it is asked at order
+        # 8 + 6, from power 0.
+        cumulant(6, RegimeRequest(VAR_GAMMA, 8))
+        gamma = engine._gamma_coefficient.cache_info()
+        _clear_engine_caches()
+        # inv-gamma: mu is asked at 20 - |lam| for the smallest non-empty lam
+        # containing it, from power |mu|; rho of weights |mu|..k is read per k.
+        cumulant(6, RegimeRequest(VAR_INV_GAMMA, 20))
+        inv_gamma = engine._inv_gamma_coefficient.cache_info()
+        containing = engine._containing_shapes.cache_info()
+    finally:
+        _clear_engine_caches()
+    assert gamma.misses == gamma.currsize == len(shapes_upto_6) * 15 == 450
+    pairs = {(mu, k) for mu in shapes_upto_6
+             for k in range(mu.weight, 20 - max(mu.weight, 1) + 1)}
+    assert inv_gamma.misses == inv_gamma.currsize == len(pairs) == 359
+    assert containing.misses == containing.currsize == len(pairs)

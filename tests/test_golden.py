@@ -3,6 +3,10 @@
 Every request of `bench/workloads.all_requests()` runs in-process through
 `cli.main`; its exit code and the sha256 of its stdout must equal the entry
 recorded in `bench/golden.json`.  Both bench files are only read.
+
+The requests run forward one test each, and again in reverse order in one
+test from cold caches, so a series memoized at a wider order answers a
+narrower request by truncation in one run and is widened in the other.
 """
 
 import hashlib
@@ -12,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from delaymoments import engine, partitions, stats
 from delaymoments.cli import main
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -41,3 +46,16 @@ def test_stdout_matches_golden(argv, capsys):
     want = GOLDEN[WORKLOADS.key(argv)]
     assert code == want["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]
+
+
+def test_stdout_matches_golden_in_reverse_from_cold_caches(capsys):
+    for module in (engine, partitions, stats):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    for argv in reversed(REQUESTS):
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        want = GOLDEN[WORKLOADS.key(argv)]
+        assert code == want["exit"], argv
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"], argv
