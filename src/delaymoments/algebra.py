@@ -47,6 +47,15 @@ def require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_regime_order(regime: str, order) -> None:
+    """Refuse an unknown regime, then an order that is not a non-negative int."""
+    if regime not in VARIABLES:
+        raise ValueError(f"unknown regime {regime!r}")
+    require_int("order", order)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+
+
 def operand_order(variable: str, order: int, m_power: int = 0, g_power: int = 0) -> int:
     """Order an operand needs for its product with M**m_power * g**g_power
     to be exact through `order`; never below 0."""
@@ -90,8 +99,12 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+_setattr = object.__setattr__
+
+
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients, degree 0 up."""
+    """Dense univariate polynomial with Fraction coefficients, degree 0 up.
+    Instances are immutable."""
 
     __slots__ = ("symbol", "coeffs")
 
@@ -99,8 +112,18 @@ class Polynomial:
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.symbol = symbol
-        self.coeffs = tuple(cs)
+        _setattr(self, "symbol", symbol)
+        _setattr(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through __init__, not by setattr.
+        return Polynomial, (self.symbol, self.coeffs)
 
     @classmethod
     def constant(cls, symbol: str, value) -> Polynomial:
@@ -494,9 +517,6 @@ def _factored_text(roots: Iterable[tuple[int, int]], const: Fraction | int,
     if const != 1:
         text = f"{_fraction_text(const)}{text}"
     return text
-
-
-_setattr = object.__setattr__
 
 
 class RationalFunction:

@@ -28,12 +28,11 @@ from .algebra import (
     VAR_GAMMA,
     VAR_INV_GAMMA,
     VAR_INV_M,
-    VARIABLES,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
     operand_order,
-    require_int,
+    require_regime_order,
     widest_series_cache,
 )
 from .partitions import (
@@ -180,58 +179,48 @@ def reflection_schur_moment(mu: PartitionLike, regime: str, order: int) -> Trunc
     The returned series is exact for every power up to `order`.
     """
     mp = as_parts(mu)
-    require_int("order", order)
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    require_regime_order(regime, order)
     if regime == VAR_INV_M:
         return _reflection_inv_m(mp, order)
     if regime == VAR_GAMMA:
         return _reflection_gamma(mp, order)
-    if regime == VAR_INV_GAMMA:
-        return _reflection_inv_gamma(mp, order)
-    raise ValueError(f"unknown regime {regime!r}")
+    return _reflection_inv_gamma(mp, order)
 
 
 @widest_series_cache
 def _reflection_inv_m(mp: tuple[int, ...], order: int) -> TruncatedSeries:
-    """Large-M expansion: the square of the rising factorial times a sum over
-    one-free cycle types beta of weight m, each contributing at 1/M power
-    |mu| + m - length(beta) a coefficient rational in g with denominator a
-    power of (1+g).
+    """Large-M expansion: the square of the rising factorial times a bare
+    series in 1/M with coefficients rational in g, whose denominators are
+    powers of (1+g).
 
-    The shape sum of each cycle type is `_strip_weight(mu, beta, d)` at
-    mu's Durfee side d: strips only add cells, so no shape of s_mu * p_beta
-    has a smaller square, and those with a larger one are pruned.  Each
-    power is then one sum over the known root g = -1, the factors
-    prod (1 + q*g) of the cycle types riding along as integer polynomials.
-    Cycle types without fixed points satisfy length <= m/2, so weights
-    m <= 2*(order + |mu|) exhaust every term that can touch powers <= order.
+    The bare coefficient of 1/M**(|mu| + k) sums over the cycle types beta
+    without fixed points with |beta| - length(beta) = k: each is a partition
+    gamma of k with one added to every part, of weight m = k + length(gamma).
+    The shape sum of each beta is `_strip_weight(mu, beta, d)` at mu's
+    Durfee side d: strips only add cells, so no shape of s_mu * p_beta has a
+    smaller square, and those with a larger one are pruned.  Each power is
+    one sum over the known root g = -1, of multiplicity |mu| + m, the
+    factors prod (1 + q*g) of the cycle types riding along as integer
+    polynomials.  The prefactor lowers the power by at most 2|mu|, so
+    k <= order + |mu| reaches every power up to `order`.
     """
     n = sum(mp)
     d_mu = durfee(mp)
-
-    # Terms by the 1/M power of the bare sum before the prefactor; every
-    # term's denominator is (1+g)**(n+m), a root -1 of multiplicity n+m.
-    terms: dict[int, list[tuple]] = {}
-    for m in range(0, 2 * (order + n) + 1):
-        one_plus_g = (-1,) * (n + m)
-        for beta in enumerate_partitions(m, forbid_part_one=True):
-            ell = len(beta)
-            exponent = n + m - ell
-            if exponent - 2 * n > order:
-                continue
+    scale = Fraction(1, content_product(mp) ** 2)
+    bare = {}
+    for k in range(order + n + 1):
+        terms = []
+        for gamma in enumerate_partitions(k):
+            beta = _shape(q + 1 for q in gamma)
+            m = k + len(beta)
             inner = _strip_weight(mp, beta, d_mu)
             if inner:
-                scalar = Fraction((-1) ** ell * class_size(beta) * inner,
-                                  factorial(m) * factorial(n + m))
-                terms.setdefault(exponent, []).append(
-                    (scalar, (), one_plus_g, _absorption_coeffs(beta)))
-    scale = Fraction(1, content_product(mp) ** 2)
-    grouped = {exponent: RationalFunction.from_root_terms(SYM_G, group, scale)
-               for exponent, group in terms.items()}
-
-    bare = TruncatedSeries(VAR_INV_M, grouped, order + 2 * n)
-    return bare.times_m_polynomial(rising_factorial(mp) ** 2)
+                terms.append((Fraction((-1) ** len(beta) * class_size(beta) * inner,
+                                       factorial(m) * factorial(n + m)),
+                              (), (-1,) * (n + m), _absorption_coeffs(beta)))
+        bare[n + k] = RationalFunction.from_root_terms(SYM_G, terms, scale)
+    return TruncatedSeries(VAR_INV_M, bare, order + 2 * n).times_m_polynomial(
+        rising_factorial(mp) ** 2)
 
 
 @widest_series_cache
@@ -322,11 +311,7 @@ def delay_schur_moment(lam: PartitionLike, regime: str, order: int) -> Truncated
     if not lp:
         raise ValueError("the empty shape has the constant moment 1; "
                          "request a non-empty partition")
-    require_int("order", order)
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    if regime not in VARIABLES:
-        raise ValueError(f"unknown regime {regime!r}")
+    require_regime_order(regime, order)
     return _delay_schur_moment(lp, regime, order)
 
 

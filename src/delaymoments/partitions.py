@@ -131,25 +131,18 @@ def contains(mu: PartitionLike, lam: PartitionLike) -> bool:
 
 
 @cache
-def enumerate_partitions(m: int, forbid_part_one: bool = False) -> tuple[Partition, ...]:
+def enumerate_partitions(m: int) -> tuple[Partition, ...]:
     """All partitions of weight m in reverse-lexicographic order, as a cached
-    tuple.
-
-    With forbid_part_one, only partitions with every part >= 2 are kept
-    (one-cycles carry no weight in the large-M sums and are excluded there).
-    """
+    tuple."""
     if m < 0:
         raise ValueError("weight must be non-negative")
-    min_part = 2 if forbid_part_one else 1
     out: list[Partition] = []
 
     def descend(remaining: int, max_part: int, prefix: list[int]) -> None:
         if remaining == 0:
             out.append(_shape(prefix))
             return
-        for k in range(min(remaining, max_part), min_part - 1, -1):
-            if remaining - k and remaining - k < min_part:
-                continue
+        for k in range(min(remaining, max_part), 0, -1):
             prefix.append(k)
             descend(remaining - k, k, prefix)
             prefix.pop()

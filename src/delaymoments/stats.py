@@ -27,12 +27,12 @@ from .algebra import (
     VAR_GAMMA,
     VAR_INV_GAMMA,
     VAR_INV_M,
-    VARIABLES,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
     operand_order,
     require_int,
+    require_regime_order,
     widest_series_cache,
 )
 from .engine import delay_schur_moment
@@ -56,11 +56,7 @@ class RegimeRequest(namedtuple("RegimeRequest", "regime order")):
     _make = _validating_make
 
     def __new__(cls, regime: str, order: int):
-        if regime not in VARIABLES:
-            raise ValueError(f"unknown regime {regime!r}")
-        require_int("order", order)
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        require_regime_order(regime, order)
         return super().__new__(cls, regime, order)
 
 

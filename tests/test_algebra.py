@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from fractions import Fraction
 
@@ -66,6 +68,21 @@ class TestPolynomial:
     def test_symbol_mixing_rejected(self):
         with pytest.raises(VariableMismatchError):
             pm(1, 1) * pg(1, 1)
+
+    def test_immutable(self):
+        # Polynomials are shared (cached prefactors, module constants) and
+        # hashed by both fields, so neither may be rebound or deleted.
+        q = pm(1, 2)
+        h = hash(q)
+        for name, value in (("coeffs", (Fraction(1),)), ("symbol", "g"), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(q, name, value)
+        for name in ("coeffs", "symbol"):
+            with pytest.raises(AttributeError):
+                delattr(q, name)
+        assert q == pm(1, 2) and hash(q) == h
+        for copied in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert copied == q and copied.symbol == q.symbol
 
     def test_str(self):
         assert str(pm(4, 0, -5, 0, 1)) == "M^4-5M^2+4"

@@ -503,6 +503,7 @@ def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
 
     created = {"polynomials": 0, "rational functions": 0}
     cycle_types = []
+    weights = []
     at_prefactor = []
 
     def counted(kind, fn):
@@ -519,6 +520,10 @@ def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
         cycle_types.append(beta)
         return strip_expansion(mu, beta, d)
 
+    def partitions_of(m, *args, **kwargs):
+        weights.append(m)
+        return enumerate_partitions(m, *args, **kwargs)
+
     monkeypatch.setattr(algebra.Polynomial, "__init__",
                         counted("polynomials", algebra.Polynomial.__init__))
     monkeypatch.setattr(algebra.RationalFunction, "__init__",
@@ -526,6 +531,7 @@ def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
     monkeypatch.setattr(algebra, "_new", counted("rational functions", algebra._new))
     monkeypatch.setattr(engine, "rising_factorial", prefactor)
     monkeypatch.setattr(engine, "strip_expansion", expansion)
+    monkeypatch.setattr(engine, "enumerate_partitions", partitions_of)
     _clear_engine_caches()
     try:
         engine._reflection_inv_m((3, 2), 2)
@@ -535,6 +541,9 @@ def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
     [counts] = at_prefactor
     assert counts["polynomials"] == 0
     assert counts["rational functions"] <= 8 < len(cycle_types)
+    # Each power reads the partitions of k = |beta| - length(beta), never
+    # past order + |mu| = 7: no cycle type is built only to be dropped.
+    assert weights and max(weights) <= 7
 
 
 def test_inv_m_coefficients_match_independent_oracle():

@@ -262,6 +262,18 @@ def test_reflection_moment_refuses_a_negative_order(regime):
         reflection_schur_moment((2, 1), regime, -1)
 
 
+@pytest.mark.parametrize("call", [
+    RegimeRequest,
+    lambda regime, order: reflection_schur_moment((2, 1), regime, order),
+    lambda regime, order: delay_schur_moment((2, 1), regime, order),
+], ids=["request", "reflection", "delay"])
+def test_regime_is_checked_before_the_order(call):
+    # One check serves the three entry points: a bad regime is named first.
+    for order in (-1, 1.5):
+        with pytest.raises(ValueError, match="unknown regime 'bogus'"):
+            call("bogus", order)
+
+
 @pytest.mark.parametrize("regime", VARIABLES)
 def test_leading_power_is_the_lowest_nonzero_coefficient(regime):
     order = {VAR_GAMMA: 2, VAR_INV_GAMMA: 5, VAR_INV_M: 3}[regime]
