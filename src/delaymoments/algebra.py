@@ -102,7 +102,21 @@ def _as_fraction(x) -> Fraction:
 _setattr = object.__setattr__
 
 
-class Polynomial:
+class _Immutable:
+    """Refuses to rebind or delete an attribute; constructors fill the slots
+    with `_setattr`, and each subclass's `__reduce__` rebuilds its copies and
+    pickles through a constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Polynomial(_Immutable):
     """Dense univariate polynomial with Fraction coefficients, degree 0 up.
     Instances are immutable."""
 
@@ -115,14 +129,7 @@ class Polynomial:
         _setattr(self, "symbol", symbol)
         _setattr(self, "coeffs", tuple(cs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __reduce__(self):
-        # Copies and pickles are rebuilt through __init__, not by setattr.
         return Polynomial, (self.symbol, self.coeffs)
 
     @classmethod
@@ -519,7 +526,7 @@ def _factored_text(roots: Iterable[tuple[int, int]], const: Fraction | int,
     return text
 
 
-class RationalFunction:
+class RationalFunction(_Immutable):
     """Reduced quotient of polynomials over one symbol, stored fraction-free.
 
     The value is N / (D * prod (x - r)**m), where N is an integer
@@ -570,11 +577,8 @@ class RationalFunction:
                                   tuple(c * sn for c in di), symbol)
         _freeze(self, symbol, *fields)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __reduce__(self):  # rebuilt from the canonical fields, no root search
+        return _new, (self._symbol, self._num, self._content, self._roots)
 
     @classmethod
     def constant(cls, symbol: str, value) -> RationalFunction:
@@ -888,7 +892,7 @@ def _new(symbol: str, num: tuple[int, ...], content: int,
     return rf
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Immutable):
     """Laurent-type series in one expansion variable with exact coefficients.
 
     `coeffs` maps power -> RationalFunction in the complementary symbol.
@@ -925,11 +929,8 @@ class TruncatedSeries:
         floor = order + 1 if min_power is None else max(order + 1, min_power)
         _setattr(self, "min_power", min(clean, default=floor))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __reduce__(self):  # min_power: a zero series' known leading power
+        return TruncatedSeries, (self.variable, dict(self.coeffs), self.order, self.min_power)
 
     @classmethod
     def zero(cls, variable: str, order: int) -> TruncatedSeries:

@@ -312,28 +312,27 @@ def delay_schur_moment(lam: PartitionLike, regime: str, order: int) -> Truncated
         raise ValueError("the empty shape has the constant moment 1; "
                          "request a non-empty partition")
     require_regime_order(regime, order)
-    return _delay_schur_moment(lp, regime, order)
+    return _delay_schur_moment(((lp, 1),), regime, order)
 
 
 @widest_series_cache
-def _delay_schur_moment(lp: tuple[int, ...], regime: str, order: int) -> TruncatedSeries:
-    # Each output power is one sum of +-B(lam, mu) * <s_mu(R)> over mu,
-    # reduced once (`TruncatedSeries.combination`).  The same transform
-    # serves every regime: the table in `algebra` says how the factor B(M)
-    # and the division by g**|lam| move the powers, and `operand_order` how
-    # many powers each reflection moment must carry.
-    # A gamma moment that passes the cancellation check leads at g^0 or
-    # above; the series reads that from its coefficients.
-    weight = sum(lp)
-    pairs = []
-    for mu in subpartitions(lp):
-        b = binomial_determinant(lp, mu)
-        inner = reflection_schur_moment(
-            mu, regime, operand_order(regime, order, weight - mu.weight, -weight))
-        pairs.append((-b if mu.weight % 2 else b, inner))
-    total = TruncatedSeries.combination(regime, pairs, -weight)
+def _delay_schur_moment(shapes: tuple, regime: str, order: int) -> TruncatedSeries:
+    # The moment of the sum of c * s_lam(Q) over the (lam, c) of `shapes`, all
+    # of one weight: per output power one sum of C(mu) * <s_mu(R)> over the mu
+    # inside them, C(mu) summing c * +-B(lam, mu), reduced once.  `combination`
+    # and `operand_order` keep the order of every regime, and a gamma moment
+    # that passes the cancellation check leads at g^0 or above.
+    weight = sum(shapes[0][0])
+    factors = defaultdict(lambda: Polynomial(SYM_M))
+    for lam, c in shapes:
+        for mu in subpartitions(lam):
+            factors[mu] += binomial_determinant(lam, mu) * (-c if mu.weight % 2 else c)
+    total = TruncatedSeries.combination(regime, [
+        (b, reflection_schur_moment(
+            mu, regime, operand_order(regime, order, weight - mu.weight, -weight)))
+        for mu, b in factors.items()], -weight)
     if regime == VAR_GAMMA and total.min_power < 0:
         raise InternalConsistencyError(
-            f"transform of {lp} left a non-zero coefficient "
+            f"transform of {shapes} left a non-zero coefficient "
             f"at g^{total.min_power + weight}; the leading {weight} powers must cancel")
     return total.truncate(order)

@@ -35,7 +35,7 @@ from .algebra import (
     require_regime_order,
     widest_series_cache,
 )
-from .engine import delay_schur_moment
+from .engine import _delay_schur_moment, delay_schur_moment
 from .partitions import (
     Partition,
     PartitionLike,
@@ -97,15 +97,13 @@ class StatisticRequest(namedtuple("StatisticRequest", "kind request partition n"
 
 
 def power_sum_moment(lam: PartitionLike, req: RegimeRequest) -> TruncatedSeries:
-    """Moment of the product of traces Tr(Q^lam_i), via the character
-    expansion of power sums in the Schur basis."""
+    """Moment of the product of traces Tr(Q^lam_i): one transform of the
+    character expansion of the power sum in the Schur basis."""
     _require_request(req)
     lp = as_parts(lam)
     if not lp:
         raise ValueError("power sums need a non-empty partition")
-    return TruncatedSeries.combination(req.regime, [
-        (Polynomial.constant(SYM_M, chi), delay_schur_moment(mu, req.regime, req.order))
-        for mu, chi in character_row(lp).items()])
+    return _delay_schur_moment(tuple(character_row(lp).items()), req.regime, req.order)
 
 
 def _normalised_power_sum(lam: tuple[int, ...], k: int, regime: str,

@@ -106,6 +106,23 @@ class TestPolynomial:
         assert r.is_zero or r.degree < b.degree
 
 
+@pytest.mark.parametrize("value", [
+    RationalFunction(pm(1, 2), pm(-1, 0, 1) * 3),
+    TruncatedSeries(VAR_GAMMA, {0: RationalFunction(pm(0, 1)),
+                                2: RationalFunction(pm(1), pm(1, 1))}, 3),
+    TruncatedSeries(VAR_INV_GAMMA, {}, 2, min_power=5),
+], ids=["rational", "series", "zero-series"])
+def test_rational_functions_and_series_copy_and_pickle(value):
+    # Rebuilt by their constructors, not by setattr, and a zero series
+    # keeps the leading power it knows beyond its window.
+    for copied in (copy.copy(value), copy.deepcopy(value),
+                   pickle.loads(pickle.dumps(value))):
+        assert copied == value and type(copied) is type(value)
+        assert getattr(copied, "min_power", None) == getattr(value, "min_power", None)
+        with pytest.raises(AttributeError):
+            copied.order = 0
+
+
 class TestRationalFunction:
     def test_normalization(self):
         r = RationalFunction(pm(0, 2), pm(0, 0, 4))

@@ -568,7 +568,7 @@ MEMO_CASES = [
 ] + [
     (module, name, (arg, regime), low, high, keys)
     for regime, low, high in ((VAR_INV_M, 0, 2), (VAR_GAMMA, 0, 3), (VAR_INV_GAMMA, 3, 6))
-    for module, name, arg, keys in (("engine", "_delay_schur_moment", _P21, 1),
+    for module, name, arg, keys in (("engine", "_delay_schur_moment", ((_P21, 1),), 1),
                                     ("stats", "_wigner_moment", 2, 1),
                                     ("stats", "_cumulant", 2, 2))
 ]

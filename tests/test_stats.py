@@ -62,6 +62,32 @@ def test_power_sum_character_combinations():
     assert power_sum_moment((1, 1), req) == s2 + s11
 
 
+@pytest.mark.parametrize("lam,req,operands,pairs", [
+    ((1, 1, 1, 1), RegimeRequest(VAR_GAMMA, 2), 12, 30),
+    ((3, 2, 1), RegimeRequest(VAR_INV_GAMMA, 8), 25, 60),
+])
+def test_power_sum_is_one_transform(lam, req, operands, pairs, monkeypatch):
+    # The shapes of the character row share one transform: a reflection
+    # moment is asked for once per distinct mu inside any of them (12 and 25
+    # here, against 30 and 60 with one transform per shape), while B(lam, mu)
+    # is still built once per (lam, mu) pair.
+    from delaymoments import engine, partitions, stats
+
+    calls = {"reflection_schur_moment": 0, "binomial_determinant": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(engine, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(engine, name, counting)
+    for module in (engine, partitions, stats):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    power_sum_moment(lam, req)
+    assert calls == {"reflection_schur_moment": operands, "binomial_determinant": pairs}
+    assert engine._delay_schur_moment.cache_info().misses == 1
+
+
 def test_wigner_moment_mean_all_regimes():
     m = wigner_moment(1, RegimeRequest(VAR_INV_M, 2))
     assert m.coefficient(0) == RationalFunction(pg(1), pg(1, 1))
