@@ -51,13 +51,6 @@ HEAVY_GOLDEN = {
 }
 
 
-def _clear_caches():
-    for module in (engine, partitions, stats):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 def test_every_request_has_a_golden_entry():
     assert sorted(GOLDEN) == sorted(WORKLOADS.key(argv) for argv in REQUESTS)
 
@@ -72,7 +65,10 @@ def test_stdout_matches_golden(argv, capsys):
 
 
 def test_stdout_matches_golden_in_reverse_from_cold_caches(capsys):
-    _clear_caches()
+    for module in (engine, partitions, stats):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     for argv in reversed(REQUESTS):
         code = main(list(argv))
         out = capsys.readouterr().out
@@ -83,7 +79,10 @@ def test_stdout_matches_golden_in_reverse_from_cold_caches(capsys):
 
 @pytest.mark.parametrize("request_line", HEAVY_GOLDEN)
 def test_heavy_stdout_matches_golden_from_cold_caches(request_line, capsys):
-    _clear_caches()
+    for module in (engine, partitions, stats):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     code = main(request_line.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == HEAVY_GOLDEN[request_line]
