@@ -23,19 +23,18 @@ is used; the expected values are plain Fractions.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from delaymoments import RegimeRequest, delay_schur_moment, power_sum_moment
+from oracles import shapes
 
 ORDER = 14
 
 
 def rising(k: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= k + i
-    return out
+    return prod(range(k, k + j))
 
 
 def trace_power_law(n: int, power: int) -> Fraction:
@@ -55,18 +54,8 @@ def test_trace_power_moments_match_the_single_channel_law(n):
     assert got == [trace_power_law(n, k) for k in range(ORDER + 1)]
 
 
-def shapes_with_two_rows_or_more(max_weight: int):
-    def descend(rest: int, bound: int, prefix: tuple):
-        if not rest:
-            yield prefix
-        for part in range(min(rest, bound), 0, -1):
-            yield from descend(rest - part, part, prefix + (part,))
-
-    for weight in range(2, max_weight + 1):
-        yield from (lam for lam in descend(weight, weight, ()) if len(lam) > 1)
-
-
-@pytest.mark.parametrize("lam", list(shapes_with_two_rows_or_more(6)), ids=str)
+@pytest.mark.parametrize("lam", [lam for weight in range(2, 7) for lam in shapes(weight)
+                                 if len(lam) > 1], ids=str)
 def test_schur_moments_of_more_than_one_row_vanish_at_one_channel(lam):
     series = delay_schur_moment(lam, "inv_gamma", 12)
     assert [series.coefficient(k).evaluate(1) for k in range(13)] == [0] * 13
