@@ -1,12 +1,13 @@
 """Exact scalar, polynomial, rational-function and truncated-series arithmetic.
 
 Every coefficient in this package is carried by these types; there is no
-floating point anywhere.  Scalars are `fractions.Fraction`, polynomials are
-dense univariate over a named symbol ("M" or "g" for the absorption
-strength), rational functions are reduced quotients stored with integer
-coefficients and a denominator that splits over the integers, and series
-are Laurent-type truncations with a guaranteed order: coefficients of
-powers up to `order` are exact, powers above it are never emitted.
+floating point anywhere.  Scalars are `fractions.Fraction`.  Polynomials
+(dense, univariate over "M" or "g" for the absorption strength) and the
+numerators of rational functions share one fraction-free form, integer
+coefficients over a positive integer content, and one set of integer
+kernels; a rational function's denominator splits over the integers.
+Series are Laurent-type truncations with a guaranteed order: coefficients
+of powers up to `order` are exact, powers above it are never emitted.
 """
 
 from __future__ import annotations
@@ -117,17 +118,20 @@ class _Immutable:
 
 
 class Polynomial(_Immutable):
-    """Dense univariate polynomial with Fraction coefficients, degree 0 up.
-    Instances are immutable."""
+    """Dense univariate polynomial with exact rational coefficients, stored
+    like a RationalFunction numerator: integers `_num` (ascending, no trailing
+    zeros) over a positive `_content` coprime to them, so equal polynomials
+    have equal fields; `coeffs` derives the Fractions.  Instances are immutable."""
 
-    __slots__ = ("symbol", "coeffs")
+    __slots__ = ("symbol", "_num", "_content")
 
-    def __init__(self, symbol: str, coeffs: Iterable = ()):
+    def __new__(cls, symbol: str, coeffs: Iterable = ()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        _setattr(self, "symbol", symbol)
-        _setattr(self, "coeffs", tuple(cs))
+        content = lcm(1, *(c.denominator for c in cs))
+        num = [c.numerator * (content // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        return _polynomial(symbol, tuple(num), content)
 
     def __reduce__(self):
         return Polynomial, (self.symbol, self.coeffs)
@@ -139,31 +143,31 @@ class Polynomial(_Immutable):
     @classmethod
     def from_roots(cls, symbol: str, roots: Iterable[int]) -> Polynomial:
         """The monic product of (symbol - r) over the integer roots r."""
-        return cls(symbol, _expand_roots((r, 1) for r in roots))
+        return _polynomial(symbol, _expand_roots((r, 1) for r in roots))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._content) for c in self._num)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as degree -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return Fraction(self._num[k] if 0 <= k < len(self._num) else 0, self._content)
 
     def _coerce(self, other) -> Polynomial | None:
         if isinstance(other, Polynomial):
-            if other.symbol != self.symbol and other.coeffs and self.coeffs:
+            if other.symbol != self.symbol and other._num and self._num:
                 raise VariableMismatchError(
                     f"cannot mix symbols {self.symbol!r} and {other.symbol!r}")
             return other
@@ -175,14 +179,14 @@ class Polynomial(_Immutable):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Polynomial(self.symbol,
-                          (self.coefficient(k) + o.coefficient(k) for k in range(n)))
+        d1, d2 = self._content, o._content
+        return _polynomial(self.symbol, _iadd(tuple(c * d2 for c in self._num),
+                                              tuple(c * d1 for c in o._num)), d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(self.symbol, (-c for c in self.coeffs))
+        return _polynomial(self.symbol, tuple(-c for c in self._num), self._content)
 
     def __sub__(self, other) -> Polynomial:
         o = self._coerce(other)
@@ -197,28 +201,15 @@ class Polynomial(_Immutable):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return Polynomial(self.symbol)
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(self.symbol, out)
+        return _polynomial(self.symbol, _imul(self._num, o._num),
+                           self._content * o._content)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial.constant(self.symbol, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _polynomial(self.symbol, _ipow(self._num, n), self._content**n)
 
     def __divmod__(self, other) -> tuple[Polynomial, Polynomial]:
         o = self._coerce(other)
@@ -226,17 +217,17 @@ class Polynomial(_Immutable):
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        qdeg = len(rem) - len(o.coeffs)
+        rem, divisor = list(self.coeffs), o.coeffs
+        qdeg = len(rem) - len(divisor)
         if qdeg < 0:
             return Polynomial(self.symbol), self
         quot = [Fraction(0)] * (qdeg + 1)
-        lead = o.leading
+        lead = divisor[-1]
         for k in range(qdeg, -1, -1):
             c = rem[k + o.degree] / lead
             quot[k] = c
             if c:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(divisor):
                     rem[k + j] -= c * b
         return Polynomial(self.symbol, quot), Polynomial(self.symbol, rem)
 
@@ -244,24 +235,21 @@ class Polynomial(_Immutable):
         return divmod(self, other)[1]
 
     def monic(self) -> Polynomial:
-        if self.is_zero:
-            return self
-        lead = self.leading
-        return Polynomial(self.symbol, (c / lead for c in self.coeffs))
+        return _polynomial(self.symbol, self._num, self._num[-1] if self._num else 1)
 
     def evaluate(self, value) -> Fraction:
-        return _evaluate(self.coeffs, _as_fraction(value))
+        return _evaluate(self._num, _as_fraction(value)) / self._content
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs and (
-                self.is_zero or other.is_zero or self.symbol == other.symbol)
+            return self._num == other._num and self._content == other._content and (
+                not self._num or self.symbol == other.symbol)
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(self.symbol, other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.symbol if self.coeffs else "", self.coeffs))
+        return hash((self.symbol if self._num else "", self._num, self._content))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.symbol!r}, {list(self.coeffs)})"
@@ -272,6 +260,18 @@ class Polynomial(_Immutable):
     def latex(self) -> str:
         return _poly_text(self.coeffs, _LATEX_SYMBOL.get(self.symbol, self.symbol),
                           latex=True)
+
+
+def _polynomial(symbol: str, num: tuple[int, ...], content: int = 1) -> Polynomial:
+    """num / content, num without trailing zeros, with positive content in lowest terms."""
+    if content < 0:
+        num, content = tuple(-c for c in num), -content
+    num, content, _ = _canonical(num, content, ())
+    p = object.__new__(Polynomial)
+    _setattr(p, "symbol", symbol)
+    _setattr(p, "_num", num)
+    _setattr(p, "_content", content)
+    return p
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -312,20 +312,16 @@ def _poly_text(coeffs: tuple, symbol: str, latex: bool = False) -> str:
     return text
 
 
-def _integer_coeffs(p: Polynomial) -> tuple[int, list[int]]:
-    """Return (scale, coeffs) with coeffs integral and p = coeffs / scale."""
-    scale = lcm(*(c.denominator for c in p.coeffs))
-    return scale, [c.numerator * (scale // c.denominator) for c in p.coeffs]
-
-
 # Integer polynomials: ascending coefficient tuples without trailing zeros,
-# () being zero.  They carry the fields of RationalFunction.
+# () being zero.  They carry the fields of Polynomial and RationalFunction.
 
 _ONE = (1,)
 
 
 def _imul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two non-zero integer polynomials."""
+    """Product of two integer polynomials."""
+    if not a or not b:
+        return ()
     if len(b) == 1:
         b0 = b[0]
         return a if b0 == 1 else tuple(c * b0 for c in a)
@@ -567,14 +563,12 @@ class RationalFunction(_Immutable):
             den = Polynomial.constant(num.symbol, den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.coeffs and den.coeffs and num.symbol != den.symbol:
+        if num._num and num.symbol != den.symbol:
             raise VariableMismatchError(
                 f"cannot mix symbols {num.symbol!r} and {den.symbol!r}")
-        symbol = num.symbol if num.coeffs else den.symbol
-        sn, ni = _integer_coeffs(num)
-        sd, di = _integer_coeffs(den)
-        fields = _quotient_fields(tuple(c * sd for c in ni),
-                                  tuple(c * sn for c in di), symbol)
+        symbol = num.symbol if num._num else den.symbol
+        fields = _quotient_fields(tuple(c * den._content for c in num._num),
+                                  tuple(c * num._content for c in den._num), symbol)
         _freeze(self, symbol, *fields)
 
     def __reduce__(self):  # rebuilt from the canonical fields, no root search
@@ -659,12 +653,12 @@ class RationalFunction(_Immutable):
     @property
     def num(self) -> Polynomial:
         """Numerator over the monic denominator `den`."""
-        return Polynomial(self._symbol, (Fraction(c, self._content) for c in self._num))
+        return _polynomial(self._symbol, self._num, self._content)
 
     @property
     def den(self) -> Polynomial:
         """Monic denominator."""
-        return Polynomial(self._symbol, _expand_roots(self._roots))
+        return _polynomial(self._symbol, _expand_roots(self._roots))
 
     def _coerce(self, other) -> RationalFunction | None:
         if isinstance(other, RationalFunction):
@@ -746,8 +740,6 @@ class RationalFunction(_Immutable):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        if not self._num or not o._num:
-            return RationalFunction.constant(self._symbol, 0)
         if len(o._num) == 1 and not o._roots:
             return self._scaled(o._num[0], o._content)
         roots = dict(self._roots)
@@ -869,7 +861,7 @@ class RationalFunction(_Immutable):
 
 
 def _evaluate(cs: tuple, v: Fraction) -> Fraction:
-    """Horner evaluation of ascending int or Fraction coefficients."""
+    """Horner evaluation of ascending integer coefficients."""
     acc = Fraction(0)
     for c in reversed(cs):
         acc = acc * v + c
@@ -1036,10 +1028,9 @@ class TruncatedSeries(_Immutable):
         terms: dict[int, list] = {}
         for p, s in pairs:
             # M**d moves the powers by m_step * d, or p scales every coefficient.
-            scale, ints = _integer_coeffs(p)
-            parts = ([(m_step * d + g_shift, Fraction(b, scale), _ONE)
-                      for d, b in enumerate(ints) if b] if m_step
-                     else [(g_shift, Fraction(1, scale), tuple(ints))] if ints else [])
+            parts = ([(m_step * d + g_shift, Fraction(b, p._content), _ONE)
+                      for d, b in enumerate(p._num) if b] if m_step
+                     else [(g_shift, Fraction(1, p._content), p._num)] if p._num else [])
             for q, c in s.coeffs.items():
                 bottoms = [r for r, m in c._roots for _ in range(m)]
                 for shift, w, f in parts:

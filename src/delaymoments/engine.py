@@ -315,22 +315,29 @@ def delay_schur_moment(lam: PartitionLike, regime: str, order: int) -> Truncated
     return _delay_schur_moment(((lp, 1),), regime, order)
 
 
-@widest_series_cache
-def _delay_schur_moment(shapes: tuple, regime: str, order: int) -> TruncatedSeries:
-    # The moment of the sum of c * s_lam(Q) over the (lam, c) of `shapes`, all
-    # of one weight: per output power one sum of C(mu) * <s_mu(R)> over the mu
-    # inside them, C(mu) summing c * +-B(lam, mu), reduced once.  `combination`
-    # and `operand_order` keep the order of every regime, and a gamma moment
-    # that passes the cancellation check leads at g^0 or above.
-    weight = sum(shapes[0][0])
+@cache
+def _transform_factors(shapes: tuple) -> tuple[tuple[tuple[int, ...], Polynomial], ...]:
+    """(mu, C(mu)) for the mu inside the (lam, c) of `shapes` with a non-zero
+    C(mu) = sum of c * (-1)**|mu| * B(lam, mu); no order or regime enters."""
     factors = defaultdict(lambda: Polynomial(SYM_M))
     for lam, c in shapes:
         for mu in subpartitions(lam):
             factors[mu] += binomial_determinant(lam, mu) * (-c if mu.weight % 2 else c)
+    return tuple((mu, b) for mu, b in factors.items() if not b.is_zero)
+
+
+@widest_series_cache
+def _delay_schur_moment(shapes: tuple, regime: str, order: int) -> TruncatedSeries:
+    # The moment of the sum of c * s_lam(Q) over the (lam, c) of `shapes`, all
+    # of one weight: per output power one sum of C(mu) * <s_mu(R)> over the mu
+    # of `_transform_factors`, reduced once; the top-weight ones, +-c, are
+    # never all zero.  `combination` and `operand_order` keep the order of every
+    # regime, and a gamma moment that passes the check leads at g^0 or above.
+    weight = sum(shapes[0][0])
     total = TruncatedSeries.combination(regime, [
         (b, reflection_schur_moment(
             mu, regime, operand_order(regime, order, weight - mu.weight, -weight)))
-        for mu, b in factors.items()], -weight)
+        for mu, b in _transform_factors(shapes)], -weight)
     if regime == VAR_GAMMA and total.min_power < 0:
         raise InternalConsistencyError(
             f"transform of {shapes} left a non-zero coefficient "

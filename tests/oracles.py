@@ -4,7 +4,8 @@ These deliberately avoid the algorithms under test: characters come from the
 alternant (Frobenius) coefficient extraction, Schur polynomials from
 explicit semistandard-tableau enumeration, Littlewood-Richardson
 coefficients from expanding actual polynomial products in many variables,
-and the transform determinant from elimination on the binomial matrix.
+the transform determinant from elimination on the binomial matrix, and
+polynomial arithmetic from dense loops over lists of Fractions.
 Shapes, hook lengths, contents and Durfee squares are computed here.  The
 large-M coefficients are assembled term by term with the public
 `Polynomial` and `RationalFunction` arithmetic, which has its own tests.
@@ -174,6 +175,54 @@ def binomial_matrix_determinant(lam: tuple[int, ...], mu: tuple[int, ...],
     return bareiss_determinant(
         [[_binomial(m + lam[i] - (i + 1), lam[i] - i - (padded[j] - j))
           for j in range(n)] for i in range(n)])
+
+
+# Polynomial arithmetic on plain lists of ascending Fraction coefficients,
+# trailing zeros dropped: the dense loops `Polynomial` ran while it stored
+# its coefficients as Fractions.
+
+def poly_trim(cs: list) -> list[Fraction]:
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def poly_add(a: list, b: list) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return poly_trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                      for k in range(n)])
+
+
+def poly_neg(a: list) -> list[Fraction]:
+    return poly_trim([-c for c in a])
+
+
+def poly_mul(a: list, b: list) -> list[Fraction]:
+    a, b = poly_trim(a), poly_trim(b)
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_pow(a: list, n: int) -> list[Fraction]:
+    out = [Fraction(1)]
+    for _ in range(n):
+        out = poly_mul(out, a)
+    return out
+
+
+def poly_evaluate(a: list, v: Fraction) -> Fraction:
+    return sum((Fraction(c) * v**k for k, c in enumerate(a)), Fraction(0))
+
+
+def poly_monic(a: list) -> list[Fraction]:
+    a = poly_trim(a)
+    return [c / a[-1] for c in a] if a else []
 
 
 def shapes(weight: int, largest: int | None = None, smallest: int = 1):

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delaymoments.algebra import (
     COEFF_SYMBOL,
@@ -21,6 +21,15 @@ from delaymoments.algebra import (
     laurent_expand_inverse_power,
     operand_order,
     polynomial_gcd,
+)
+from oracles import (
+    poly_add,
+    poly_evaluate,
+    poly_monic,
+    poly_mul,
+    poly_neg,
+    poly_pow,
+    poly_trim,
 )
 
 
@@ -104,6 +113,90 @@ class TestPolynomial:
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero or r.degree < b.degree
+
+
+# Constructor input: zeros anywhere (trailing ones too), integers and
+# fractions with mixed denominators, either sign in every place.
+coefficient_lists = st.lists(st.one_of(st.just(0), st.integers(-6, 6), small_fraction),
+                             max_size=6)
+
+
+def assert_matches_oracle(ours, coeffs):
+    """`ours` has the oracle's coefficients and the fields, hash, repr and
+    text of the polynomial built from them: one canonical form per value."""
+    built = pm(*coeffs)
+    assert ours.coeffs == tuple(coeffs) and ours.symbol == "M"
+    assert ours == built and hash(ours) == hash(built)
+    assert repr(ours) == repr(built) and str(ours) == str(built)
+
+
+class TestPolynomialAgainstOracle:
+    """Polynomial, stored fraction-free, against dense Fraction loops over
+    plain lists (tests/oracles.py)."""
+
+    @given(a=coefficient_lists, b=coefficient_lists, n=st.integers(0, 4))
+    @example(a=[], b=[0, 0, 0], n=0)
+    @example(a=[0, 0], b=[Fraction(1, 2)], n=3)
+    @example(a=[Fraction(1, 2), Fraction(-2, 3), 0, 0], b=[0, Fraction(-5, 4)], n=4)
+    @example(a=[3, 6, -9], b=[Fraction(1, 3)], n=2)
+    @example(a=[Fraction(2, 3), Fraction(-4, 3)], b=[Fraction(-2, 3), Fraction(4, 3)], n=1)
+    @settings(max_examples=80)
+    def test_arithmetic(self, a, b, n):
+        p, q = pm(*a), pm(*b)
+        assert_matches_oracle(p, poly_trim(a))
+        assert_matches_oracle(p + q, poly_add(a, b))
+        assert_matches_oracle(p - q, poly_add(a, poly_neg(b)))
+        assert_matches_oracle(-p, poly_neg(a))
+        assert_matches_oracle(p * q, poly_mul(a, b))
+        assert_matches_oracle(p**n, poly_pow(a, n))
+        assert_matches_oracle(p.monic(), poly_monic(a))
+
+    @given(a=coefficient_lists, c=st.one_of(st.integers(-6, 6), small_fraction))
+    @example(a=[Fraction(3, 4), 0, Fraction(-3, 2)], c=Fraction(4, 3))
+    @settings(max_examples=60)
+    def test_scalar_operands(self, a, c):
+        p = pm(*a)
+        for ours in (p + c, c + p):
+            assert_matches_oracle(ours, poly_add(a, [c]))
+        assert_matches_oracle(p - c, poly_add(a, [-c]))
+        assert_matches_oracle(c - p, poly_add([c], poly_neg(a)))
+        for ours in (p * c, c * p):
+            assert_matches_oracle(ours, poly_mul(a, [c]))
+
+    @given(a=coefficient_lists, v=st.one_of(st.integers(-5, 5), small_fraction))
+    @settings(max_examples=60)
+    def test_evaluate_and_leading(self, a, v):
+        p = pm(*a)
+        assert p.evaluate(v) == poly_evaluate(a, Fraction(v))
+        trimmed = poly_trim(a)
+        assert p.degree == len(trimmed) - 1
+        assert p.leading == (trimmed[-1] if trimmed else 0)
+        assert [p.coefficient(k) for k in range(-1, 8)] == \
+            [0] + [trimmed[k] if k < len(trimmed) else 0 for k in range(8)]
+
+    @given(a=coefficient_lists, b=coefficient_lists)
+    @example(a=[1, 0], b=[1])
+    @example(a=[Fraction(2, 4)], b=[Fraction(1, 2), 0])
+    @settings(max_examples=60)
+    def test_equality_and_hash(self, a, b):
+        p, q = pm(*a), pm(*b)
+        assert (p == q) == (poly_trim(a) == poly_trim(b))
+        assert p == pm(*a, 0, 0) and hash(p) == hash(pm(*a, 0, 0))
+        if p == q:
+            assert hash(p) == hash(q)
+        # Routes to the same value give the same fields.
+        for other in ((p + q) - q, (p * pm(2, 1)) + (p * pm(-2, -1)) + p):
+            assert other == p and hash(other) == hash(p)
+        trimmed = poly_trim(a)
+        if len(trimmed) <= 1:
+            assert p == (trimmed[0] if trimmed else 0)
+
+    @given(a=coefficient_lists)
+    @settings(max_examples=40)
+    def test_copy_and_pickle(self, a):
+        p = pm(*a)
+        for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert_matches_oracle(copied, poly_trim(a))
 
 
 @pytest.mark.parametrize("value", [

@@ -1,4 +1,5 @@
-"""Differential test of RationalFunction against sympy's `cancel`.
+"""Differential tests of Polynomial against sympy's `expand` and of
+RationalFunction against sympy's `cancel`.
 
 sympy is a test-only dependency: the module is skipped without it.
 Denominators are a scale times products of (M - r)**k with small integer r,
@@ -27,6 +28,28 @@ scales = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
 def poly_expr(p):
     return sum((sympy.Rational(a.numerator, a.denominator) * M**k
                 for k, a in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def sympy_coeffs(expr):
+    """Ascending Fraction coefficients of a polynomial in M, () for zero."""
+    cs = tuple(Fraction(int(c.p), int(c.q))
+               for c in reversed(sympy.Poly(expr, M).all_coeffs()))
+    return cs if any(cs) else ()
+
+
+# Zeros anywhere, trailing ones too, and mixed denominators of either sign.
+coefficient_lists = st.lists(st.one_of(st.just(0), fractions), max_size=5)
+
+
+@given(a=coefficient_lists, b=coefficient_lists, n=st.integers(0, 4))
+@settings(max_examples=25, deadline=None)
+def test_polynomial_matches_sympy(a, b, n):
+    # The sympy operands are built from the input lists, not from our types.
+    p, q = Polynomial("M", a), Polynomial("M", b)
+    ea, eb = (sum((rational(c) * M**k for k, c in enumerate(cs)), sympy.Integer(0))
+              for cs in (a, b))
+    for ours, expected in ((p + q, ea + eb), (p * q, ea * eb), (p**n, ea**n)):
+        assert ours.coeffs == sympy_coeffs(sympy.expand(expected))
 
 
 @st.composite

@@ -655,3 +655,26 @@ def test_per_power_caches_build_each_coefficient_once():
              for k in range(mu.weight, 20 - max(mu.weight, 1) + 1)}
     assert inv_gamma.misses == inv_gamma.currsize == len(pairs) == 359
     assert containing.misses == containing.currsize == len(pairs)
+
+
+def test_transform_skips_zero_factors(monkeypatch):
+    # The character expansion of p_(2,2,2,2) reaches 65 shapes mu, and for 6
+    # of them the summed factor C(mu) is the zero polynomial; the transform
+    # asks for the reflection moments of the other 59 only, each once.
+    from delaymoments import engine
+    from delaymoments.stats import RegimeRequest, power_sum_moment
+
+    real = engine.reflection_schur_moment
+    asked = []
+
+    def counting(mu, regime, order):
+        asked.append(mu)
+        return real(mu, regime, order)
+
+    _clear_engine_caches()
+    monkeypatch.setattr(engine, "reflection_schur_moment", counting)
+    try:
+        power_sum_moment((2, 2, 2, 2), RegimeRequest(VAR_GAMMA, 1))
+    finally:
+        _clear_engine_caches()
+    assert len(asked) == len(set(asked)) == 59
