@@ -495,10 +495,11 @@ def test_generated_shapes_are_not_revalidated(monkeypatch):
 
 
 def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
-    # The cycle-type terms are summed as integer polynomials: before the
-    # prefactor rising_factorial(mu)**2 is built, no Fraction polynomial
-    # exists and at most one RationalFunction per power of 1/M, however
-    # many cycle types enter.
+    # The cycle-type terms are summed as integer coefficient tuples: before
+    # the prefactor rising_factorial(mu)**2 is built, no Polynomial exists
+    # and at most one RationalFunction per power of 1/M, however many cycle
+    # types enter.  Every Polynomial, from the constructor, the arithmetic,
+    # from_roots or RationalFunction.num/den, is made by algebra._polynomial.
     from delaymoments import algebra, engine
 
     created = {"polynomials": 0, "rational functions": 0}
@@ -524,8 +525,8 @@ def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
         weights.append(m)
         return enumerate_partitions(m, *args, **kwargs)
 
-    monkeypatch.setattr(algebra.Polynomial, "__init__",
-                        counted("polynomials", algebra.Polynomial.__init__))
+    monkeypatch.setattr(algebra, "_polynomial",
+                        counted("polynomials", algebra._polynomial))
     monkeypatch.setattr(algebra.RationalFunction, "__init__",
                         counted("rational functions", algebra.RationalFunction.__init__))
     monkeypatch.setattr(algebra, "_new", counted("rational functions", algebra._new))
