@@ -2,10 +2,13 @@
 
 Every coefficient in this package is carried by these types; there is no
 floating point anywhere.  Scalars are `fractions.Fraction`.  Polynomials
-(dense, univariate over "M" or "g" for the absorption strength) and the
-numerators of rational functions share one fraction-free form, integer
-coefficients over a positive integer content, and one set of integer
-kernels; a rational function's denominator splits over the integers.
+(dense, univariate over "M" or "g" for the absorption strength) and
+rational functions, whose denominators split over the integers, are two
+views of one fraction-free form with one set of operators: integer
+coefficients over a positive integer content, and the denominator's
+integer roots, none for a polynomial.  A zero takes the other operand's
+symbol, two non-zero operands with different symbols are refused, and a
+constant hashes as its Fraction.
 Series are Laurent-type truncations with a guaranteed order: coefficients
 of powers up to `order` are exact, powers above it are never emitted.
 """
@@ -117,13 +120,187 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Polynomial(_Immutable):
-    """Dense univariate polynomial with exact rational coefficients, stored
-    like a RationalFunction numerator: integers `_num` (ascending, no trailing
-    zeros) over a positive `_content` coprime to them, so equal polynomials
-    have equal fields; `coeffs` derives the Fractions.  Instances are immutable."""
+class _IntegerForm(_Immutable):
+    """The one fraction-free form of Polynomial and RationalFunction, and
+    their one set of operators.
 
-    __slots__ = ("symbol", "_num", "_content")
+    The value is N / (D * prod (x - r)**m) in `symbol`: N the integers
+    `_num` (ascending, no trailing zeros, () for zero), D the positive
+    integer `_content` and `_roots` the sorted pairs (r, m) of the
+    denominator's integer roots, always () for a Polynomial.  The form is
+    reduced: N vanishes at no listed root and shares no integer factor with
+    D, so equal values have equal fields.
+
+    An int or Fraction operand is a constant in the other operand's symbol.
+    A Polynomial takes no RationalFunction operand, so a mixed operation
+    falls through to the RationalFunction side and returns a
+    RationalFunction.  A zero takes the other operand's symbol; two non-zero
+    operands with different symbols raise VariableMismatchError.  A
+    constant hashes as its Fraction, so it finds the int or Fraction it
+    equals in a dict.
+    """
+
+    __slots__ = ("symbol", "_num", "_content", "_roots")
+
+    @classmethod
+    def _new(cls, symbol: str, num: tuple[int, ...], content: int,
+             roots: tuple[tuple[int, int], ...] = ()):
+        """A `cls` from fields already in canonical form."""
+        return object.__new__(cls)._fill(symbol, num, content, roots)
+
+    def _fill(self, symbol, num, content, roots):
+        """The one place the fields are written."""
+        _setattr(self, "symbol", symbol)
+        _setattr(self, "_num", num)
+        _setattr(self, "_content", content)
+        _setattr(self, "_roots", roots)
+        return self
+
+    def __reduce__(self):  # rebuilt from the canonical fields, no root search
+        return self._new, (self.symbol, self._num, self._content, self._roots)
+
+    @classmethod
+    def constant(cls, symbol: str, value):
+        v = _as_fraction(value)
+        return cls._new(symbol, (v.numerator,) if v else (), v.denominator)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def _operand(self, other):
+        """`other` as an operand of this class, or None for a type it does
+        not take."""
+        if isinstance(other, (int, Fraction)):
+            return self.constant(self.symbol, other)
+        return other if isinstance(other, (type(self), Polynomial)) else None
+
+    def _symbol_with(self, o) -> str:
+        """The symbol of a result with the operand `o`: a zero takes the
+        other operand's, and two non-zero operands must share theirs."""
+        if not self._num:
+            return o.symbol
+        if o._num and o.symbol != self.symbol:
+            raise VariableMismatchError(
+                f"cannot mix symbols {self.symbol!r} and {o.symbol!r}")
+        return self.symbol
+
+    def _scaled(self, p: int, q: int):
+        """Product with the non-zero exact scalar p/q, q > 0."""
+        num = tuple(c * p for c in self._num)
+        content = self._content * q
+        g = int_gcd(content, *num)
+        if g > 1:
+            num = tuple(c // g for c in num)
+            content //= g
+        return self._new(self.symbol, num, content, self._roots)
+
+    def _inverse(self) -> RationalFunction:
+        """1 / self, for `/` and negative powers."""
+        if not self._num:
+            raise ZeroDivisionError("division by zero")
+        return RationalFunction._new(self.symbol, *_quotient_fields(
+            tuple(c * self._content for c in _expand_roots(self._roots)),
+            self._num, self.symbol))
+
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        symbol = self._symbol_with(o)
+        if not o._num:
+            return self
+        if not self._num:
+            return self._new(symbol, o._num, o._content, o._roots)
+        d1, d2 = self._content, o._content
+        g = int_gcd(d1, d2)
+        n1 = tuple(c * (d2 // g) for c in self._num) if d2 != g else self._num
+        n2 = tuple(c * (d1 // g) for c in o._num) if d1 != g else o._num
+        own1, own2 = dict(self._roots), dict(o._roots)
+        roots = {**own1, **own2}
+        for r in roots:
+            m1, m2 = own1.get(r, 0), own2.get(r, 0)
+            if m1 < m2:
+                n1 = _times_root(n1, r, m2 - m1)
+                roots[r] = m2
+            elif m2 < m1:
+                n2 = _times_root(n2, r, m1 - m2)
+                roots[r] = m1
+        return self._new(symbol, *_canonical(
+            _iadd(n1, n2), d1 // g * d2, sorted(roots.items())))
+
+    def __neg__(self):
+        return self._new(self.symbol, tuple(-c for c in self._num), self._content,
+                         self._roots)
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other or not self._num:
+                return self.constant(self.symbol, 0)
+            return self._scaled(other.numerator, other.denominator)
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        symbol = self._symbol_with(o)
+        if self._num and len(o._num) == 1 and not o._roots:
+            return self._scaled(o._num[0], o._content)
+        roots = dict(self._roots)
+        for r, m in o._roots:
+            roots[r] = roots.get(r, 0) + m
+        return self._new(symbol, *_canonical(
+            _imul(self._num, o._num), self._content * o._content,
+            sorted(roots.items())))
+
+    def __pow__(self, n: int):
+        """n-th power; each class has its own rule for a negative n."""
+        if n < 0:
+            return self._negative_power(-n)
+        if n == 0:
+            return self.constant(self.symbol, 1)
+        return self._new(self.symbol, _ipow(self._num, n), self._content**n,
+                         tuple((r, m * n) for r, m in self._roots))
+
+    def evaluate(self, value) -> Fraction:
+        v = _as_fraction(value)
+        d = self._content
+        for r, m in self._roots:
+            d *= (v - r) ** m
+        if d == 0:
+            raise PoleError(self.symbol, v, self.factored_denominator())
+        return _evaluate(self._num, v) / d
+
+    def factored_denominator(self) -> str:
+        """The monic denominator, factored."""
+        return _factored_text(self._roots, 1, self.symbol)
+
+    def __eq__(self, other) -> bool:
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return (self._num == o._num and self._content == o._content
+                and self._roots == o._roots and (not self._num or self.symbol == o.symbol))
+
+    def __hash__(self) -> int:
+        if len(self._num) <= 1 and not self._roots:
+            return hash(Fraction(self._num[0] if self._num else 0, self._content))
+        return hash((self.symbol, self._num, self._content, self._roots))
+
+
+class Polynomial(_IntegerForm):
+    """Dense univariate polynomial with exact rational coefficients: the
+    integer form without denominator roots, `_num` over `_content`;
+    `coeffs` derives the Fractions.  Instances are immutable."""
+
+    __slots__ = ()
 
     def __new__(cls, symbol: str, coeffs: Iterable = ()):
         cs = [_as_fraction(c) for c in coeffs]
@@ -131,19 +308,21 @@ class Polynomial(_Immutable):
         num = [c.numerator * (content // c.denominator) for c in cs]
         while num and not num[-1]:
             num.pop()
-        return _polynomial(symbol, tuple(num), content)
+        return cls._new(symbol, *_canonical(tuple(num), content, ()))
 
-    def __reduce__(self):
-        return Polynomial, (self.symbol, self.coeffs)
-
-    @classmethod
-    def constant(cls, symbol: str, value) -> Polynomial:
-        return cls(symbol, (value,))
+    # The shared operators are bound in each class, where the layer tracer
+    # (bench/layertrace.py) looks them up to time them per class.
+    __add__ = __radd__ = _IntegerForm.__add__
+    __sub__ = _IntegerForm.__sub__
+    __rsub__ = _IntegerForm.__rsub__
+    __neg__ = _IntegerForm.__neg__
+    __mul__ = __rmul__ = _IntegerForm.__mul__
+    __pow__ = _IntegerForm.__pow__
 
     @classmethod
     def from_roots(cls, symbol: str, roots: Iterable[int]) -> Polynomial:
         """The monic product of (symbol - r) over the integer roots r."""
-        return _polynomial(symbol, _expand_roots((r, 1) for r in roots))
+        return cls._new(symbol, _expand_roots((r, 1) for r in roots), 1)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -155,72 +334,26 @@ class Polynomial(_Immutable):
         return len(self._num) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self._num
-
-    @property
     def leading(self) -> Fraction:
         return self.coefficient(self.degree)
 
     def coefficient(self, k: int) -> Fraction:
         return Fraction(self._num[k] if 0 <= k < len(self._num) else 0, self._content)
 
-    def _coerce(self, other) -> Polynomial | None:
-        if isinstance(other, Polynomial):
-            if other.symbol != self.symbol and other._num and self._num:
-                raise VariableMismatchError(
-                    f"cannot mix symbols {self.symbol!r} and {other.symbol!r}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.symbol, other)
-        return None
-
-    def __add__(self, other) -> Polynomial:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d1, d2 = self._content, o._content
-        return _polynomial(self.symbol, _iadd(tuple(c * d2 for c in self._num),
-                                              tuple(c * d1 for c in o._num)), d1 * d2)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Polynomial:
-        return _polynomial(self.symbol, tuple(-c for c in self._num), self._content)
-
-    def __sub__(self, other) -> Polynomial:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> Polynomial:
-        return -(self - other)
-
-    def __mul__(self, other) -> Polynomial:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _polynomial(self.symbol, _imul(self._num, o._num),
-                           self._content * o._content)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> Polynomial:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return _polynomial(self.symbol, _ipow(self._num, n), self._content**n)
+    def _negative_power(self, n: int):
+        raise ValueError("negative power of a polynomial")
 
     def __divmod__(self, other) -> tuple[Polynomial, Polynomial]:
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
+        symbol = self._symbol_with(o)
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         rem, divisor = list(self.coeffs), o.coeffs
         qdeg = len(rem) - len(divisor)
         if qdeg < 0:
-            return Polynomial(self.symbol), self
+            return Polynomial(symbol), self
         quot = [Fraction(0)] * (qdeg + 1)
         lead = divisor[-1]
         for k in range(qdeg, -1, -1):
@@ -229,27 +362,14 @@ class Polynomial(_Immutable):
             if c:
                 for j, b in enumerate(divisor):
                     rem[k + j] -= c * b
-        return Polynomial(self.symbol, quot), Polynomial(self.symbol, rem)
+        return Polynomial(symbol, quot), Polynomial(symbol, rem)
 
     def __mod__(self, other) -> Polynomial:
         return divmod(self, other)[1]
 
     def monic(self) -> Polynomial:
-        return _polynomial(self.symbol, self._num, self._num[-1] if self._num else 1)
-
-    def evaluate(self, value) -> Fraction:
-        return _evaluate(self._num, _as_fraction(value)) / self._content
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self._num == other._num and self._content == other._content and (
-                not self._num or self.symbol == other.symbol)
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(self.symbol, other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.symbol if self._num else "", self._num, self._content))
+        return self._new(self.symbol, *_canonical(
+            self._num, self._num[-1] if self._num else 1, ()))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.symbol!r}, {list(self.coeffs)})"
@@ -260,18 +380,6 @@ class Polynomial(_Immutable):
     def latex(self) -> str:
         return _poly_text(self.coeffs, _LATEX_SYMBOL.get(self.symbol, self.symbol),
                           latex=True)
-
-
-def _polynomial(symbol: str, num: tuple[int, ...], content: int = 1) -> Polynomial:
-    """num / content, num without trailing zeros, with positive content in lowest terms."""
-    if content < 0:
-        num, content = tuple(-c for c in num), -content
-    num, content, _ = _canonical(num, content, ())
-    p = object.__new__(Polynomial)
-    _setattr(p, "symbol", symbol)
-    _setattr(p, "_num", num)
-    _setattr(p, "_content", content)
-    return p
 
 
 def polynomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -443,10 +551,12 @@ def _split_integer_roots(cs: tuple[int, ...]) -> tuple[dict[int, int], tuple[int
 
 def _canonical(num: tuple[int, ...], content: int,
                roots: Iterable[tuple[int, int]]) -> tuple:
-    """Reduce num / (content * prod (x - r)**m) to the canonical fields of
-    RationalFunction; `roots` is sorted by root."""
+    """Reduce num / (content * prod (x - r)**m), content non-zero, to the
+    canonical fields of `_IntegerForm`; `roots` is sorted by root."""
     if not num:
         return (), 1, ()
+    if content < 0:
+        num, content = tuple(-c for c in num), -content
     kept = []
     for r, m in roots:
         num, done = _divide_root(num, r, m)
@@ -473,8 +583,6 @@ def _quotient_fields(num: tuple[int, ...], den: tuple[int, ...], symbol: str) ->
     if len(rest) > 1:
         raise ValueError(f"denominator factor {_poly_text(rest, symbol)} has no "
                          "integer root; denominators must split over the integers")
-    if content < 0:
-        content, num = -content, tuple(-c for c in num)
     return _canonical(num, content, sorted(roots.items()))
 
 
@@ -522,14 +630,10 @@ def _factored_text(roots: Iterable[tuple[int, int]], const: Fraction | int,
     return text
 
 
-class RationalFunction(_Immutable):
-    """Reduced quotient of polynomials over one symbol, stored fraction-free.
-
-    The value is N / (D * prod (x - r)**m), where N is an integer
-    coefficient tuple, D a positive integer content and {r: m} the integer
-    roots of the denominator with their multiplicities.  The form is
-    reduced: N vanishes at no listed root and shares no integer factor with
-    D, so equal functions have equal fields.
+class RationalFunction(_IntegerForm):
+    """Reduced quotient of polynomials over one symbol, in the fraction-free
+    form of `_IntegerForm`: N / (D * prod (x - r)**m) with the integer roots
+    {r: m} of the denominator listed.
 
     The denominator must split over the integers, as every coefficient of
     the three expansions does: a denominator (or, for `/` and negative
@@ -548,7 +652,7 @@ class RationalFunction(_Immutable):
     immutable.
     """
 
-    __slots__ = ("_num", "_content", "_roots", "_symbol")
+    __slots__ = ()
 
     def __init__(self, num, den=None, symbol: str | None = None):
         if isinstance(num, (int, Fraction)):
@@ -563,23 +667,10 @@ class RationalFunction(_Immutable):
             den = Polynomial.constant(num.symbol, den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num._num and num.symbol != den.symbol:
-            raise VariableMismatchError(
-                f"cannot mix symbols {num.symbol!r} and {den.symbol!r}")
-        symbol = num.symbol if num._num else den.symbol
-        fields = _quotient_fields(tuple(c * den._content for c in num._num),
-                                  tuple(c * num._content for c in den._num), symbol)
-        _freeze(self, symbol, *fields)
-
-    def __reduce__(self):  # rebuilt from the canonical fields, no root search
-        return _new, (self._symbol, self._num, self._content, self._roots)
-
-    @classmethod
-    def constant(cls, symbol: str, value) -> RationalFunction:
-        v = _as_fraction(value)
-        if not v:
-            return _new(symbol, (), 1, ())
-        return _new(symbol, (v.numerator,), v.denominator, ())
+        symbol = num._symbol_with(den)
+        self._fill(symbol, *_quotient_fields(tuple(c * den._content for c in num._num),
+                                             tuple(c * num._content for c in den._num),
+                                             symbol))
 
     @classmethod
     def from_root_terms(cls, symbol: str, terms: Iterable[tuple], scale=1,
@@ -638,153 +729,43 @@ class RationalFunction(_Immutable):
                 roots[a] -= 1
             else:
                 num = _times_root(num, a, 1)
-        return _new(symbol, *_canonical(
+        return cls._new(symbol, *_canonical(
             num, content * scale.denominator,
             sorted((r, m) for r, m in roots.items() if m)))
 
     @property
-    def symbol(self) -> str:
-        return self._symbol
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
-    @property
     def num(self) -> Polynomial:
         """Numerator over the monic denominator `den`."""
-        return _polynomial(self._symbol, self._num, self._content)
+        return Polynomial._new(self.symbol, self._num, self._content)
 
     @property
     def den(self) -> Polynomial:
         """Monic denominator."""
-        return _polynomial(self._symbol, _expand_roots(self._roots))
+        return Polynomial._new(self.symbol, _expand_roots(self._roots), 1)
 
-    def _coerce(self, other) -> RationalFunction | None:
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(self._symbol, other)
-        return None
+    # Bound in this class's namespace, as in Polynomial.
+    __add__ = __radd__ = _IntegerForm.__add__
+    __sub__ = _IntegerForm.__sub__
+    __rsub__ = _IntegerForm.__rsub__
+    __neg__ = _IntegerForm.__neg__
+    __mul__ = __rmul__ = _IntegerForm.__mul__
+    __pow__ = _IntegerForm.__pow__
+    evaluate = _IntegerForm.evaluate
 
-    def _operand(self, other) -> RationalFunction | None:
-        """`other` as a rational function in this one's symbol."""
-        o = self._coerce(other)
-        if o is not None and o._symbol != self._symbol:
-            raise VariableMismatchError(
-                f"cannot mix symbols {self._symbol!r} and {o._symbol!r}")
-        return o
-
-    def _scaled(self, p: int, q: int) -> RationalFunction:
-        """Product with the non-zero exact scalar p/q, q > 0."""
-        num = tuple(c * p for c in self._num)
-        content = self._content * q
-        g = int_gcd(content, *num)
-        if g > 1:
-            num = tuple(c // g for c in num)
-            content //= g
-        return _new(self._symbol, num, content, self._roots)
-
-    def _inverse(self) -> RationalFunction:
-        return _new(self._symbol, *_quotient_fields(
-            tuple(c * self._content for c in _expand_roots(self._roots)),
-            self._num, self._symbol))
-
-    def __add__(self, other) -> RationalFunction:
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if not o._num:
-            return self
-        if not self._num:
-            return o
-        d1, d2 = self._content, o._content
-        g = int_gcd(d1, d2)
-        n1 = tuple(c * (d2 // g) for c in self._num) if d2 != g else self._num
-        n2 = tuple(c * (d1 // g) for c in o._num) if d1 != g else o._num
-        own1, own2 = dict(self._roots), dict(o._roots)
-        roots = {**own1, **own2}
-        for r in roots:
-            m1, m2 = own1.get(r, 0), own2.get(r, 0)
-            if m1 < m2:
-                n1 = _times_root(n1, r, m2 - m1)
-                roots[r] = m2
-            elif m2 < m1:
-                n2 = _times_root(n2, r, m1 - m2)
-                roots[r] = m1
-        return _new(self._symbol, *_canonical(
-            _iadd(n1, n2), d1 // g * d2, sorted(roots.items())))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFunction:
-        return _new(self._symbol, tuple(-c for c in self._num), self._content,
-                    self._roots)
-
-    def __sub__(self, other) -> RationalFunction:
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> RationalFunction:
-        return -(self - other)
-
-    def __mul__(self, other) -> RationalFunction:
-        if isinstance(other, (int, Fraction)):
-            if not other or not self._num:
-                return RationalFunction.constant(self._symbol, 0)
-            return self._scaled(other.numerator, other.denominator)
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if len(o._num) == 1 and not o._roots:
-            return self._scaled(o._num[0], o._content)
-        roots = dict(self._roots)
-        for r, m in o._roots:
-            roots[r] = roots.get(r, 0) + m
-        return _new(self._symbol, *_canonical(
-            _imul(self._num, o._num), self._content * o._content,
-            sorted(roots.items())))
-
-    __rmul__ = __mul__
+    def _negative_power(self, n: int) -> RationalFunction:
+        return self._inverse() ** n
 
     def __truediv__(self, other) -> RationalFunction:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
         return self * o._inverse()
 
     def __rtruediv__(self, other) -> RationalFunction:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int) -> RationalFunction:
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return self._inverse() ** (-n)
-        if n == 0:
-            return RationalFunction.constant(self._symbol, 1)
-        if self.is_zero:
-            return self
-        return _new(self._symbol, _ipow(self._num, n), self._content**n,
-                    tuple((r, m * n) for r, m in self._roots))
-
-    def evaluate(self, value) -> Fraction:
-        v = _as_fraction(value)
-        d = self._content
-        for r, m in self._roots:
-            d *= (v - r) ** m
-        if d == 0:
-            raise PoleError(self._symbol, v, self.factored_denominator())
-        return _evaluate(self._num, v) / d
+        return self._inverse() * o
 
     def integer_form(self) -> tuple[list[int], list[int]]:
         """Numerator/denominator with integer coefficients (ascending), the
@@ -797,9 +778,9 @@ class RationalFunction(_Immutable):
         variable is this symbol, at infinity when it is 1/symbol.  The
         coefficients are constants, and `min_power` is the exact leading
         power (negative for a pole at 0 or growth at infinity)."""
-        e = VARIABLE_POWER[variable][self._symbol]
+        e = VARIABLE_POWER[variable][self.symbol]
         if not e:
-            raise VariableMismatchError(f"{variable} is not a power of {self._symbol!r}")
+            raise VariableMismatchError(f"{variable} is not a power of {self.symbol!r}")
         if not self._num:
             return TruncatedSeries.zero(variable, order)
         num, den = self.integer_form()
@@ -816,20 +797,6 @@ class RationalFunction(_Immutable):
             out.append(acc / den[0])
         return TruncatedSeries(variable, dict(enumerate(out, lead)), order, lead)
 
-    def factored_denominator(self) -> str:
-        """The monic denominator, factored."""
-        return _factored_text(self._roots, 1, self._symbol)
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self._num == o._num and self._content == o._content
-                and self._roots == o._roots and self._symbol == o._symbol)
-
-    def __hash__(self) -> int:
-        return hash((self._symbol, self._num, self._content, self._roots))
-
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
@@ -839,7 +806,7 @@ class RationalFunction(_Immutable):
         if num and all(c <= 0 for c in num):
             num = tuple(-c for c in num)
             sign = "-"
-        symbol_text = _LATEX_SYMBOL.get(self._symbol, self._symbol) if latex else self._symbol
+        symbol_text = _LATEX_SYMBOL.get(self.symbol, self.symbol) if latex else self.symbol
         num_text = _poly_text(num, symbol_text, latex=latex)
         if not self._roots and self._content == 1:
             return sign + num_text
@@ -866,22 +833,6 @@ def _evaluate(cs: tuple, v: Fraction) -> Fraction:
     for c in reversed(cs):
         acc = acc * v + c
     return acc
-
-
-def _freeze(rf: RationalFunction, symbol: str, num: tuple[int, ...], content: int,
-            roots: tuple[tuple[int, int], ...]) -> None:
-    _setattr(rf, "_symbol", symbol)
-    _setattr(rf, "_num", num)
-    _setattr(rf, "_content", content)
-    _setattr(rf, "_roots", roots)
-
-
-def _new(symbol: str, num: tuple[int, ...], content: int,
-         roots: tuple[tuple[int, int], ...]) -> RationalFunction:
-    """A RationalFunction from fields already in canonical form."""
-    rf = object.__new__(RationalFunction)
-    _freeze(rf, symbol, num, content, roots)
-    return rf
 
 
 class TruncatedSeries(_Immutable):

@@ -77,6 +77,12 @@ class TestPolynomial:
     def test_symbol_mixing_rejected(self):
         with pytest.raises(VariableMismatchError):
             pm(1, 1) * pg(1, 1)
+        # A zero takes the other operand's symbol.
+        x = pm(0, 1)
+        for result in (pg() + x, x + pg(), x - pg(), -(pg() - x)):
+            assert result == x and result.symbol == "M"
+        for result in (pg() * x, x * pg()):
+            assert result.is_zero and result.symbol == "M"
 
     def test_immutable(self):
         # Polynomials are shared (cached prefactors, module constants) and
@@ -177,6 +183,7 @@ class TestPolynomialAgainstOracle:
     @given(a=coefficient_lists, b=coefficient_lists)
     @example(a=[1, 0], b=[1])
     @example(a=[Fraction(2, 4)], b=[Fraction(1, 2), 0])
+    @example(a=[0], b=[])
     @settings(max_examples=60)
     def test_equality_and_hash(self, a, b):
         p, q = pm(*a), pm(*b)
@@ -187,9 +194,16 @@ class TestPolynomialAgainstOracle:
         # Routes to the same value give the same fields.
         for other in ((p + q) - q, (p * pm(2, 1)) + (p * pm(-2, -1)) + p):
             assert other == p and hash(other) == hash(p)
+        # Equal values hash equal: a polynomial and its rational function,
+        # and a constant of either class and its int or Fraction.
+        r = RationalFunction(p)
+        assert p == r and hash(p) == hash(r) and {p: "p"}[r] == "p"
         trimmed = poly_trim(a)
         if len(trimmed) <= 1:
-            assert p == (trimmed[0] if trimmed else 0)
+            value = trimmed[0] if trimmed else 0
+            for constant in (p, r, RationalFunction.constant("g", value)):
+                assert constant == value and hash(constant) == hash(value)
+                assert {value: "value"}[constant] == "value"
 
     @given(a=coefficient_lists)
     @settings(max_examples=40)
@@ -235,6 +249,18 @@ class TestRationalFunction:
         assert a * b == RationalFunction(pm(1), pm(-1, 0, 1))
         assert (a / b) == RationalFunction(pm(1, 1), pm(-1, 1))
         assert a - a == RationalFunction.constant("M", 0)
+
+    def test_zero_takes_the_other_symbol(self):
+        # As for polynomials; two non-zero operands must share a symbol.
+        x = RationalFunction(pm(0, 1), pm(1, 1))
+        zero = RationalFunction.constant("g", 0)
+        for result in (zero + x, x + zero, x - zero, -(zero - x), pg() + x):
+            assert result == x and result.symbol == "M"
+            assert isinstance(result, RationalFunction)
+        for result in (zero * x, x * zero, zero / x, pg() * x):
+            assert result.is_zero and result.symbol == "M"
+        with pytest.raises(VariableMismatchError):
+            x + RationalFunction.constant("g", 1)
 
     def test_pow_negative(self):
         r = RationalFunction(pg(0, 1))

@@ -499,7 +499,9 @@ def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
     # the prefactor rising_factorial(mu)**2 is built, no Polynomial exists
     # and at most one RationalFunction per power of 1/M, however many cycle
     # types enter.  Every Polynomial, from the constructor, the arithmetic,
-    # from_roots or RationalFunction.num/den, is made by algebra._polynomial.
+    # from_roots or RationalFunction.num/den, and every RationalFunction but
+    # those of the root-searching constructor is made by the one
+    # `_IntegerForm._new`, counted here by the class it builds.
     from delaymoments import algebra, engine
 
     created = {"polynomials": 0, "rational functions": 0}
@@ -525,11 +527,16 @@ def test_inv_m_builds_one_coefficient_per_power(monkeypatch):
         weights.append(m)
         return enumerate_partitions(m, *args, **kwargs)
 
-    monkeypatch.setattr(algebra, "_polynomial",
-                        counted("polynomials", algebra._polynomial))
+    new = algebra._IntegerForm._new.__func__
+
+    def counted_new(cls, *args):
+        kind = "polynomials" if cls is algebra.Polynomial else "rational functions"
+        created[kind] += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(algebra._IntegerForm, "_new", classmethod(counted_new))
     monkeypatch.setattr(algebra.RationalFunction, "__init__",
                         counted("rational functions", algebra.RationalFunction.__init__))
-    monkeypatch.setattr(algebra, "_new", counted("rational functions", algebra._new))
     monkeypatch.setattr(engine, "rising_factorial", prefactor)
     monkeypatch.setattr(engine, "strip_expansion", expansion)
     monkeypatch.setattr(engine, "enumerate_partitions", partitions_of)
