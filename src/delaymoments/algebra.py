@@ -196,12 +196,19 @@ class _IntegerForm(_Immutable):
         return self._new(self.symbol, num, content, self._roots)
 
     def _inverse(self) -> RationalFunction:
-        """1 / self, for `/` and negative powers."""
+        """1 / self, for `/` and negative powers: self's numerator must split."""
         if not self._num:
             raise ZeroDivisionError("division by zero")
-        return RationalFunction._new(self.symbol, *_quotient_fields(
-            tuple(c * self._content for c in _expand_roots(self._roots)),
-            self._num, self.symbol))
+        content = int_gcd(*self._num)
+        if self._num[-1] < 0:
+            content = -content
+        roots, rest = _split_integer_roots(tuple(c // content for c in self._num))
+        if len(rest) > 1:
+            raise ValueError(f"denominator factor {_poly_text(rest, self.symbol)} has no "
+                             "integer root; denominators must split over the integers")
+        return RationalFunction._new(self.symbol, *_canonical(
+            tuple(c * self._content for c in _expand_roots(self._roots)), content,
+            sorted(roots.items())))
 
     def __add__(self, other):
         o = self._operand(other)
@@ -569,21 +576,13 @@ def _canonical(num: tuple[int, ...], content: int,
     return num, content, tuple(kept)
 
 
-def _quotient_fields(num: tuple[int, ...], den: tuple[int, ...], symbol: str) -> tuple:
-    """Canonical fields of num / den for integer polynomials, den non-zero.
-
-    A zero num gives zero; otherwise a den with a factor that has no integer
-    root is refused with a ValueError naming that factor."""
-    if not num:
-        return (), 1, ()
-    content = int_gcd(*den)
-    if den[-1] < 0:
-        content = -content
-    roots, rest = _split_integer_roots(tuple(c // content for c in den))
-    if len(rest) > 1:
-        raise ValueError(f"denominator factor {_poly_text(rest, symbol)} has no "
-                         "integer root; denominators must split over the integers")
-    return _canonical(num, content, sorted(roots.items()))
+def _quotient(num: _IntegerForm, den: _IntegerForm) -> RationalFunction:
+    """num / den, the one division of the constructor and of `/`: a zero
+    den raises ZeroDivisionError, and a zero num gives zero whatever den's
+    factors are."""
+    if num._num or not den._num:
+        return den._inverse() * num
+    return RationalFunction.constant(num._symbol_with(den), 0)
 
 
 def _factored_text(roots: Iterable[tuple[int, int]], const: Fraction | int,
@@ -635,11 +634,11 @@ class RationalFunction(_IntegerForm):
     form of `_IntegerForm`: N / (D * prod (x - r)**m) with the integer roots
     {r: m} of the denominator listed.
 
-    The denominator must split over the integers, as every coefficient of
-    the three expansions does: a denominator (or, for `/` and negative
-    powers, a divisor's numerator) with a factor that has no integer root
-    is refused with a ValueError naming that factor.  A zero numerator
-    always gives zero.
+    `RationalFunction(num, den=1)` is `num / den`.  The denominator must
+    split over the integers, as every coefficient of the three expansions
+    does: a divisor's numerator with a factor that has no integer root is
+    refused with a ValueError naming that factor.  A zero numerator always
+    gives zero, and a zero divisor raises ZeroDivisionError.
 
     Sums take the larger multiplicity per root and the lcm of the contents,
     products add multiplicities; reduction is synthetic division at the
@@ -654,23 +653,13 @@ class RationalFunction(_IntegerForm):
 
     __slots__ = ()
 
-    def __init__(self, num, den=None, symbol: str | None = None):
-        if isinstance(num, (int, Fraction)):
-            if symbol is None and isinstance(den, Polynomial):
-                symbol = den.symbol
-            if symbol is None:
-                raise ValueError("a symbol is required for constant input")
-            num = Polynomial.constant(symbol, num)
-        if den is None:
-            den = Polynomial.constant(num.symbol, 1)
-        elif isinstance(den, (int, Fraction)):
-            den = Polynomial.constant(num.symbol, den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        symbol = num._symbol_with(den)
-        self._fill(symbol, *_quotient_fields(tuple(c * den._content for c in num._num),
-                                             tuple(c * num._content for c in den._num),
-                                             symbol))
+    def __init__(self, num, den=1):
+        form = num if isinstance(num, _IntegerForm) else den
+        if not isinstance(form, _IntegerForm):
+            raise ValueError("a symbol is required for constant input")
+        q = _quotient(*(x if isinstance(x, _IntegerForm) else form.constant(form.symbol, x)
+                        for x in (num, den)))
+        self._fill(q.symbol, q._num, q._content, q._roots)
 
     @classmethod
     def from_root_terms(cls, symbol: str, terms: Iterable[tuple], scale=1,
@@ -759,13 +748,13 @@ class RationalFunction(_IntegerForm):
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * o._inverse()
+        return _quotient(self, o)
 
     def __rtruediv__(self, other) -> RationalFunction:
         o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self._inverse() * o
+        return _quotient(o, self)
 
     def integer_form(self) -> tuple[list[int], list[int]]:
         """Numerator/denominator with integer coefficients (ascending), the
@@ -948,11 +937,9 @@ class TruncatedSeries(_Immutable):
     def times_power(self, symbol: str, k: int) -> TruncatedSeries:
         """Multiply by symbol**k (exact): shifts the powers when the symbol
         carries the expansion variable, else scales every coefficient."""
-        e = VARIABLE_POWER[self.variable][symbol]
-        if e:
-            return self.shift_power(e * k)
-        return self.scale(RationalFunction.from_root_terms(
-            symbol, [(1, (), ())], num_roots=[0] * k, den_roots=[0] * -k))
+        m_power, g_power = {SYM_M: (k, 0), SYM_G: (0, k)}[symbol]
+        return TruncatedSeries.combination(
+            self.variable, [(Polynomial.constant(SYM_M, 1), self)], m_power, g_power)
 
     def truncate(self, order: int) -> TruncatedSeries:
         if order > self.order:
@@ -967,30 +954,32 @@ class TruncatedSeries(_Immutable):
     @classmethod
     def combination(cls, variable: str,
                     pairs: list[tuple[Polynomial, TruncatedSeries]],
-                    g_power: int = 0) -> TruncatedSeries:
-        """g**g_power times the sum of p * s over pairs of a polynomial p in
-        M and a series s.  Where M carries the expansion variable, p * s is
-        exact through s.order - p.degree (s.order for the zero polynomial),
-        else through s.order.  Each power is one
+                    m_power: int = 0, g_power: int = 0) -> TruncatedSeries:
+        """M**m_power * g**g_power times the sum of p * s over pairs of a
+        polynomial p in M and a series s.  Where M carries the expansion
+        variable, p * s is exact through s.order - p.degree (s.order for the
+        zero polynomial), else through s.order.  Each power is one
         `RationalFunction.from_root_terms` sum, so it is reduced once."""
         powers = VARIABLE_POWER[variable]
-        m_step, g_shift = powers[SYM_M], powers[SYM_G] * g_power
-        order = min(s.order + m_step * max(p.degree, 0) for p, s in pairs) + g_shift
+        m_step = powers[SYM_M]
+        shift = m_step * m_power + powers[SYM_G] * g_power
+        order = min(s.order + m_step * max(p.degree, 0) for p, s in pairs) + shift
         terms: dict[int, list] = {}
         for p, s in pairs:
             # M**d moves the powers by m_step * d, or p scales every coefficient.
-            parts = ([(m_step * d + g_shift, Fraction(b, p._content), _ONE)
+            parts = ([(m_step * d + shift, Fraction(b, p._content), _ONE)
                       for d, b in enumerate(p._num) if b] if m_step
-                     else [(g_shift, Fraction(1, p._content), p._num)] if p._num else [])
+                     else [(shift, Fraction(1, p._content), p._num)] if p._num else [])
             for q, c in s.coeffs.items():
                 bottoms = [r for r, m in c._roots for _ in range(m)]
-                for shift, w, f in parts:
-                    if q + shift <= order:
-                        terms.setdefault(q + shift, []).append(
+                for step, w, f in parts:
+                    if q + step <= order:
+                        terms.setdefault(q + step, []).append(
                             (w / c._content, (), bottoms, _imul(f, c._num)))
-        k = 0 if powers[SYM_G] else g_power  # g**k scales every coefficient
+        symbol = COEFF_SYMBOL[variable]  # its power scales every coefficient
+        k = m_power if symbol == SYM_M else g_power
         return cls(variable, {j: RationalFunction.from_root_terms(
-            COEFF_SYMBOL[variable], group, num_roots=[0] * k, den_roots=[0] * -k)
+            symbol, group, num_roots=[0] * k, den_roots=[0] * -k)
             for j, group in terms.items()}, order)
 
     def times_m_polynomial(self, p: Polynomial) -> TruncatedSeries:

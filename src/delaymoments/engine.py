@@ -312,7 +312,7 @@ def delay_schur_moment(lam: PartitionLike, regime: str, order: int) -> Truncated
         raise ValueError("the empty shape has the constant moment 1; "
                          "request a non-empty partition")
     require_regime_order(regime, order)
-    return _delay_schur_moment(((lp, 1),), regime, order)
+    return _delay_schur_moment(((lp, 1),), 0, regime, order)
 
 
 @cache
@@ -327,17 +327,19 @@ def _transform_factors(shapes: tuple) -> tuple[tuple[tuple[int, ...], Polynomial
 
 
 @widest_series_cache
-def _delay_schur_moment(shapes: tuple, regime: str, order: int) -> TruncatedSeries:
-    # The moment of the sum of c * s_lam(Q) over the (lam, c) of `shapes`, all
-    # of one weight: per output power one sum of C(mu) * <s_mu(R)> over the mu
-    # of `_transform_factors`, reduced once; the top-weight ones, +-c, are
-    # never all zero.  `combination` and `operand_order` keep the order of every
-    # regime, and a gamma moment that passes the check leads at g^0 or above.
+def _delay_schur_moment(shapes: tuple, m_power: int, regime: str,
+                        order: int) -> TruncatedSeries:
+    # M**m_power times the moment of the sum of c * s_lam(Q) over the (lam, c)
+    # of `shapes`, all of one weight: per output power one sum of C(mu) *
+    # <s_mu(R)> over the mu of `_transform_factors`, reduced once; the
+    # top-weight ones, +-c, are never all zero.  `combination` and
+    # `operand_order` keep the order of every regime, and a gamma moment that
+    # passes the check leads at g^0 or above.
     weight = sum(shapes[0][0])
     total = TruncatedSeries.combination(regime, [
-        (b, reflection_schur_moment(
-            mu, regime, operand_order(regime, order, weight - mu.weight, -weight)))
-        for mu, b in _transform_factors(shapes)], -weight)
+        (b, reflection_schur_moment(mu, regime, operand_order(
+            regime, order, weight - mu.weight + m_power, -weight)))
+        for mu, b in _transform_factors(shapes)], m_power, -weight)
     if regime == VAR_GAMMA and total.min_power < 0:
         raise InternalConsistencyError(
             f"transform of {shapes} left a non-zero coefficient "

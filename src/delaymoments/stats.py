@@ -30,7 +30,6 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
-    operand_order,
     require_int,
     require_regime_order,
     widest_series_cache,
@@ -103,20 +102,13 @@ def power_sum_moment(lam: PartitionLike, req: RegimeRequest) -> TruncatedSeries:
     lp = as_parts(lam)
     if not lp:
         raise ValueError("power sums need a non-empty partition")
-    return _delay_schur_moment(tuple(character_row(lp).items()), req.regime, req.order)
-
-
-def _normalised_power_sum(lam: tuple[int, ...], k: int, regime: str,
-                          order: int) -> TruncatedSeries:
-    """<p_lam(Q)>/M**k in the requested regime."""
-    series = power_sum_moment(lam, RegimeRequest(
-        regime, operand_order(regime, order, m_power=-k)))
-    return series.times_power(SYM_M, -k).truncate(order)
+    return _delay_schur_moment(tuple(character_row(lp).items()), 0, req.regime, req.order)
 
 
 @widest_series_cache
 def _wigner_moment(n: int, regime: str, order: int) -> TruncatedSeries:
-    return _normalised_power_sum((1,) * n, n, regime, order)
+    # <p_(1^n)(Q)>/M**n: the transform divides by M**n in its one reduction.
+    return _delay_schur_moment(tuple(character_row((1,) * n).items()), -n, regime, order)
 
 
 def wigner_moment(n: int, req: RegimeRequest) -> TruncatedSeries:
@@ -256,12 +248,12 @@ def match_window(series: TruncatedSeries,
 
 
 def _rf_m(num: Polynomial | int | Fraction, den: Polynomial | int | Fraction = 1) -> RationalFunction:
-    return RationalFunction(num, den, SYM_M)
+    return RationalFunction.constant(SYM_M, 1) * num / den
 
 
 def _trace_moment(n: int, regime: str, order: int) -> TruncatedSeries:
     """<Tr(Q**n)>/M in the requested regime."""
-    return _normalised_power_sum((n,), 1, regime, order)
+    return _delay_schur_moment(tuple(character_row((n,)).items()), -1, regime, order)
 
 
 _M_SQ = Polynomial(SYM_M, (0, 0, 1))

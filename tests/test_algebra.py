@@ -240,6 +240,18 @@ class TestRationalFunction:
     def test_zero(self):
         z = RationalFunction(pm(), pm(3, 7))
         assert z.is_zero and z.den == pm(1)
+        # A zero numerator gives zero whatever the divisor's factors, in the
+        # constructor as through `/`; a zero divisor raises in both.
+        no_root = pm(1, 0, 1)
+        for zero in (RationalFunction(0, no_root), RationalFunction(pm(), no_root),
+                     0 / RationalFunction(no_root), z / no_root):
+            assert zero.is_zero and zero.symbol == "M"
+        x = RationalFunction(pm(1), pm(-1, 1))
+        for divide in (lambda: RationalFunction(pm(1), pm()), lambda: RationalFunction(x, 0),
+                       lambda: RationalFunction(pm(), pm()), lambda: x / 0,
+                       lambda: x / pm(), lambda: 1 / RationalFunction(pm())):
+            with pytest.raises(ZeroDivisionError):
+                divide()
 
     def test_arithmetic(self):
         a = RationalFunction(pm(1), pm(-1, 1))
@@ -249,6 +261,13 @@ class TestRationalFunction:
         assert a * b == RationalFunction(pm(1), pm(-1, 0, 1))
         assert (a / b) == RationalFunction(pm(1, 1), pm(-1, 1))
         assert a - a == RationalFunction.constant("M", 0)
+        # The constructor is `num / den`, for RationalFunction operands too.
+        for got, want in ((RationalFunction(a), "1/(M-1)"),
+                          (RationalFunction(a, pm(2)), "1/2(M-1)"),
+                          (RationalFunction(pm(0, 1), a), "M^2-M"),
+                          (RationalFunction(a, a * b), "M+1")):
+            assert str(got) == want and isinstance(got, RationalFunction)
+        assert RationalFunction(a, 2) == a / 2 and RationalFunction(pm(0, 1), a) == pm(0, -1, 1)
 
     def test_zero_takes_the_other_symbol(self):
         # As for polynomials; two non-zero operands must share a symbol.
@@ -491,6 +510,15 @@ class TestTruncatedSeries:
                                  operand_order(variable, 3, m_power, g_power))
                 product = operand.times_power("M", m_power).times_power("g", g_power)
                 assert product.order >= 3, (variable, m_power, g_power)
+                # combination multiplies by b(M) * M**m_power * g**g_power.
+                combined = TruncatedSeries.combination(variable, [(b, s)], m_power, g_power)
+                assert value_at(combined) == (value * b.evaluate(m_val) * m_val**m_power
+                                              * g_val**g_power), (variable, m_power, g_power)
+                operand = series(variable, {0: 1}, operand_order(
+                    variable, 3, b.degree + m_power, g_power))
+                combined = TruncatedSeries.combination(variable, [(b, operand)],
+                                                       m_power, g_power)
+                assert combined.order >= 3, (variable, m_power, g_power)
             operand = series(variable, {0: 1}, operand_order(variable, 3, b.degree))
             assert operand.times_m_polynomial(b).order >= 3, variable
         assert operand_order(VAR_GAMMA, 3, 0, 5) == 0

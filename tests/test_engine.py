@@ -574,11 +574,11 @@ MEMO_CASES = [
     ("engine", "_reflection_gamma", (_P21,), 1, 4, 1),
     ("engine", "_reflection_inv_gamma", (_P21,), 3, 7, 1),
 ] + [
-    (module, name, (arg, regime), low, high, keys)
+    (module, name, (*args, regime), low, high, keys)
     for regime, low, high in ((VAR_INV_M, 0, 2), (VAR_GAMMA, 0, 3), (VAR_INV_GAMMA, 3, 6))
-    for module, name, arg, keys in (("engine", "_delay_schur_moment", ((_P21, 1),), 1),
-                                    ("stats", "_wigner_moment", 2, 1),
-                                    ("stats", "_cumulant", 2, 2))
+    for module, name, args, keys in (("engine", "_delay_schur_moment", (((_P21, 1),), 0), 1),
+                                     ("stats", "_wigner_moment", (2,), 1),
+                                     ("stats", "_cumulant", (2,), 2))
 ]
 
 

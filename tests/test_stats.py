@@ -88,6 +88,27 @@ def test_power_sum_is_one_transform(lam, req, operands, pairs, monkeypatch):
     assert engine._delay_schur_moment.cache_info().misses == 1
 
 
+def test_wigner_moment_divides_by_m_in_the_transform(monkeypatch):
+    # <tau_W^n> = <p_(1^n)(Q)>/M^n: the transform's one reduction per power
+    # divides by M^n, and no second pass over the coefficients follows.
+    from delaymoments import engine, partitions, stats
+    from delaymoments.algebra import TruncatedSeries
+
+    calls = {"combination": 0, "times_power": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(TruncatedSeries, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        wrapper = counting if name == "times_power" else staticmethod(counting)
+        monkeypatch.setattr(TruncatedSeries, name, wrapper)
+    for module in (engine, partitions, stats):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    _wigner_moment(3, VAR_GAMMA, 2)
+    assert calls == {"combination": 1, "times_power": 0}
+
+
 def test_wigner_moment_mean_all_regimes():
     m = wigner_moment(1, RegimeRequest(VAR_INV_M, 2))
     assert m.coefficient(0) == RationalFunction(pg(1), pg(1, 1))
